@@ -42,15 +42,6 @@ WORKLOADS = [
     ("serial_p2b1v2", "SerialMemory(p=2, b=1, v=2)"),
 ]
 
-#: (name, constructor source, worker counts) — the sharded engine on
-#: the headline workload.  Verdicts and state counts must be
-#: bit-identical to workers=1 (asserted below); wall-clock speedup is
-#: reported per machine alongside ``cpu_count`` because it only
-#: materialises with real cores to shard across
-PARALLEL_WORKLOADS = [
-    ("mesi_p2b1v2", "MESIProtocol(p=2, b=1, v=2)", (1, 4)),
-]
-
 #: (name, constructor source, reduction level) — symmetry reduction on
 #: the acceptance workload (MESI at 3 processors): the same
 #: verification at ``--reduce off`` vs the level, one round each (the
@@ -215,37 +206,6 @@ def time_workloads_inprocess(rounds: int) -> dict:
     return out
 
 
-def time_parallel_inprocess(rounds: int) -> dict:
-    from repro.core.verify import verify_protocol
-    from repro.memory import MESIProtocol  # noqa: F401
-
-    out = {}
-    for name, src, worker_counts in PARALLEL_WORKLOADS:
-        per_workers, states = {}, None
-        for workers in worker_counts:
-            best = None
-            for _ in range(rounds):
-                proto = eval(src)
-                t0 = time.perf_counter()
-                res = verify_protocol(proto, workers=workers)
-                dt = time.perf_counter() - t0
-                best = dt if best is None else min(best, dt)
-                assert res.sequentially_consistent, (name, workers)
-                if states is None:
-                    states = res.stats.states
-                # the determinism contract: worker count never changes
-                # the explored state set (see docs/PARALLEL.md)
-                assert res.stats.states == states, (name, workers)
-            per_workers[str(workers)] = {"seconds": best}
-        entry = {"states": states, "workers": per_workers}
-        lo, hi = str(min(worker_counts)), str(max(worker_counts))
-        entry[f"speedup_w{hi}_over_w{lo}"] = round(
-            per_workers[lo]["seconds"] / per_workers[hi]["seconds"], 3
-        )
-        out[name] = entry
-    return out
-
-
 def time_reduction_inprocess() -> dict:
     from repro.core.verify import verify_protocol
     from repro.memory import MESIProtocol  # noqa: F401
@@ -338,7 +298,6 @@ def main(argv=None) -> int:
     from repro.obs.bench import build_record, write_record
 
     current = time_workloads_inprocess(args.rounds)
-    parallel = time_parallel_inprocess(args.rounds)
     reduction = time_reduction_inprocess()
     por = time_por_inprocess()
     store = time_store_subprocess()
@@ -356,14 +315,12 @@ def main(argv=None) -> int:
 
     record = build_record(
         current=current,
-        parallel=parallel,
         reduction=reduction,
         por=por,
         store=store,
         baseline=baseline,
         baseline_note=baseline_note,
         rounds=args.rounds,
-        cpu_count=os.cpu_count(),
         previous=previous,
     )
     write_record(args.output, record)
@@ -371,12 +328,6 @@ def main(argv=None) -> int:
         spd = record["speedup"].get(name)
         spd_s = f"  ({spd:.2f}x vs baseline)" if spd else ""
         print(f"{name:16s} {cur['seconds']:.3f}s  states={cur['states']}{spd_s}")
-    for name, entry in parallel.items():
-        timings = "  ".join(
-            f"w{w}={v['seconds']:.3f}s" for w, v in entry["workers"].items()
-        )
-        print(f"{name:16s} {timings}  states={entry['states']} "
-              f"(cpus={os.cpu_count()})")
     for name, entry in reduction.items():
         level = entry["level"]
         print(

@@ -215,17 +215,8 @@ def _cmd_verify(args, telemetry=None) -> int:
     from .engine.intern import StoreConfig, StoreError
     from .engine.por import PorError
     from .engine.reduction import ReductionError
-    from .faults.infra import ChaosError, parse_chaos
     from .harness import Budget, CheckpointError, degrade, run_verification
     from .models import ModelError
-
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = parse_chaos(args.chaos)
-        except ChaosError as exc:
-            print(f"error: {exc}")
-            return 2
 
     store = None
     if args.store_budget_mb is not None or args.store_dir is not None:
@@ -266,15 +257,10 @@ def _cmd_verify(args, telemetry=None) -> int:
                 checkpoint_path=args.checkpoint or args.resume,
                 resume_from=args.resume,
                 ledger=args.ledger,
-                workers=args.workers,
                 reduce=args.reduce,
                 model=args.model,
                 preemptions=args.preemptions,
                 por=args.por,
-                worker_retries=args.worker_retries,
-                on_worker_failure=args.on_worker_failure,
-                round_timeout_s=args.round_timeout_s,
-                chaos=chaos,
                 store=store,
                 telemetry=telemetry,
             )
@@ -295,14 +281,13 @@ def _cmd_verify(args, telemetry=None) -> int:
                     return 2
                 if telemetry is not None:
                     telemetry.start_run(
-                        protocol=proto.describe(), mode=args.mode, workers=1,
+                        protocol=proto.describe(), mode=args.mode,
                         degrade=True,
                     )
                     if telemetry.progress is not None:
                         telemetry.progress.budget = budget
                 res = degrade(
-                    proto, gen, budget=budget, mode=args.mode,
-                    workers=args.workers or 1, store=store,
+                    proto, gen, budget=budget, mode=args.mode, store=store,
                     telemetry=telemetry,
                 )
                 if telemetry is not None:
@@ -322,15 +307,10 @@ def _cmd_verify(args, telemetry=None) -> int:
                     checkpoint_path=args.checkpoint,
                     strategy=args.strategy,
                     seed=args.seed,
-                    workers=args.workers,
                     reduce=args.reduce,
                     model=args.model,
                     preemptions=args.preemptions,
                     por=args.por,
-                    worker_retries=args.worker_retries,
-                    on_worker_failure=args.on_worker_failure,
-                    round_timeout_s=args.round_timeout_s,
-                    chaos=chaos,
                     store=store,
                     telemetry=telemetry,
                     ledger=args.ledger,
@@ -590,14 +570,13 @@ def cmd_runs(args) -> int:
             e.verdict,
             e.states,
             f"{e.elapsed_s:.3g}s",
-            e.workers,
             e.trace or "-",
         )
         for e in entries
     ]
     print(
         format_table(
-            ["hash", "recorded", "protocol", "verdict", "states", "elapsed", "workers", "trace"],
+            ["hash", "recorded", "protocol", "verdict", "states", "elapsed", "trace"],
             rows,
             title=f"Run ledger: {args.ledger}",
         )
@@ -638,7 +617,6 @@ def cmd_fault_matrix(args) -> int:
             should_stop=should_stop,
             seed=args.seed,
             include_baseline=not args.no_baseline,
-            workers=args.workers,
             reduce=args.reduce,
             por=args.por,
             telemetry=telemetry,
@@ -710,7 +688,6 @@ def cmd_metrics(args) -> int:
             workload,
             summary.elapsed_s,
             summary.states,
-            workers=summary.workers or 1,
             reduce=summary.reduce or "off",
             por=summary.por or "off",
         )
@@ -783,24 +760,21 @@ def build_parser() -> argparse.ArgumentParser:
             "     ended without the evidence its caller required\n"
             "  2  usage or input error: bad arguments, an unreadable or\n"
             "     incompatible checkpoint (wrong version, corrupt beyond the\n"
-            "     .bak fallback, sequential checkpoint resumed with\n"
-            "     --workers > 1, mismatched --reduce level, mismatched --model,\n"
+            "     .bak fallback, mismatched --reduce level, mismatched --model,\n"
             "     --preemptions or --por), a --reduce level the protocol\n"
             "     declares no symmetry for, an unsupported model combination\n"
             "     (--model causal with --mode full, --reduce or --por,\n"
-            "     --preemptions with --model causal), a malformed --chaos\n"
-            "     spec, --store-budget-mb/--store-dir without --store disk, or\n"
-            "     a checkpoint whose referenced spill files are missing, torn\n"
-            "     or CRC-damaged\n"
+            "     --preemptions with --model causal), --store-budget-mb/\n"
+            "     --store-dir without --store disk, or a checkpoint whose\n"
+            "     referenced spill files are missing, torn or CRC-damaged\n"
             "\n"
             "resume semantics: --reduce, --model, --preemptions and --por are\n"
             "search state (baked into the checkpoint's interned keys, run set\n"
             "and ample-set pruning; with --resume they are inherited and an\n"
             "explicit mismatch exits 2 — checkpoints written before the POR\n"
-            "layer resume as --por off), while --workers, --store and the\n"
-            "supervision knobs are run policy (explicit values override\n"
-            "whatever the checkpoint carried; an explicit --store migrates the\n"
-            "interned keys into the requested backend, IDs preserved).\n"
+            "layer resume as --por off), while --store is run policy: an\n"
+            "explicit --store migrates the checkpoint's interned keys into\n"
+            "the requested backend, IDs preserved.\n"
             "\n"
             "SIGTERM/SIGINT during the search stop it cooperatively: the final\n"
             "checkpoint (with --checkpoint) is written and the run exits 0\n"
@@ -838,13 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "random-walk probes deep under tight budgets)")
     v.add_argument("--seed", type=int, default=0,
                    help="random-walk frontier seed (ignored by bfs/dfs)")
-    v.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="shard the search across N worker processes (default 1; "
-                        "verdicts and state counts are identical to the sequential "
-                        "engine — see docs/PARALLEL.md). Run policy, not search "
-                        "state: with --resume an explicit N re-shards the "
-                        "checkpointed search (parallel checkpoints only; a "
-                        "sequential checkpoint resumes only with workers=1)")
     v.add_argument("--store", choices=["mem", "disk"], default=None,
                    help="state-store backend: mem keeps every interned key in "
                         "RAM (default), disk spills keys past the resident "
@@ -863,25 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "fresh repro-store-* directory under the system temp "
                         "dir; checkpoints reference the spill files by path, "
                         "so keep them alongside long-lived checkpoints)")
-    v.add_argument("--worker-retries", type=int, default=None, metavar="N",
-                   help="worker failures (crash/stall) absorbed before giving "
-                        "up (default 2; see docs/ROBUSTNESS.md)")
-    v.add_argument("--on-worker-failure",
-                   choices=["fail", "reshard", "sequential"], default=None,
-                   help="recovery policy when a worker dies or stalls: fail "
-                        "immediately, reshard onto the survivors and replay "
-                        "from the last round snapshot (default), or "
-                        "additionally fall back to the in-process engine once "
-                        "retries are exhausted")
-    v.add_argument("--round-timeout-s", type=float, default=None, metavar="S",
-                   help="per-round deadline for stall detection in the "
-                        "parallel engine (doubled after each failure; default "
-                        "off — only dead workers are detected)")
-    v.add_argument("--chaos", action="append", default=None, metavar="SPEC",
-                   help="arm a deterministic engine fault for chaos testing: "
-                        "KIND@ROUND[:WORKER][/SECONDS] with KIND one of "
-                        "kill-worker, stall-worker (repeatable; e.g. "
-                        "kill-worker@2 or stall-worker@3:1/5)")
     v.add_argument("--reduce", choices=list(REDUCE_LEVELS), default=None,
                    help="symmetry-reduction level: canonicalize states under "
                         "processor (proc), processor+block (proc+block) or "
@@ -923,8 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record the completed run in this append-only run "
                         f"ledger (default {DEFAULT_LEDGER_PATH}), keyed by "
                         "the content hash of its search provenance (protocol/"
-                        "mode/strategy/reduce/model/preemptions/por — worker "
-                        "count and chaos are run policy, excluded). Stopped "
+                        "mode/strategy/reduce/model/preemptions/por — the "
+                        "store backend is run policy, excluded). Stopped "
                         "or truncated runs are not recorded. Inspect with "
                         "'repro runs'")
     _add_telemetry_args(v)
@@ -958,8 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("trace", nargs="?", default=None,
                    help="trace JSONL (from --trace-log) or flight dump to "
                         "render a run report for: verdict header, span tree, "
-                        "shard balance, reduction/POR effectiveness, recovery "
-                        "events")
+                        "reduction/POR effectiveness, recovery events")
     r.add_argument("--ledger", nargs="?", const=DEFAULT_LEDGER_PATH,
                    default=None, metavar="PATH",
                    help="include cross-run trend tables from this run ledger "
@@ -1027,12 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
     fm.add_argument("--seed", type=int, default=0)
     fm.add_argument("--no-baseline", action="store_true",
                     help="skip the unfaulted baseline row per protocol")
-    fm.add_argument("--workers", type=int, default=1, metavar="N",
-                    help="shard each pair's search across N worker processes "
-                         "(run policy, as in `verify`: verdicts and state "
-                         "counts are identical at any N — see "
-                         "docs/PARALLEL.md). Matrix runs are one-shot, so "
-                         "there is no resume interaction")
     fm.add_argument("--reduce", choices=list(REDUCE_LEVELS), default="off",
                     help="symmetry-reduction level for pairs whose protocol "
                          "declares a symmetry spec (search state, as in "

@@ -454,7 +454,7 @@ class Observer:
             # *which concrete representative* of a canonical state the
             # search happened to keep, and permutation-equivalent states
             # stopped merging (the differential suite catches this as a
-            # strategy/worker-count-dependent state count).
+            # strategy-dependent state count).
             rev = {i: h for h, i in _id.items()}
             queue = list(canon)
             qi = 0

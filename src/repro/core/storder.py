@@ -157,9 +157,8 @@ class ActionKeyedSerializer:
     ST of processor ``action.args[0]``.
 
     Protocol modules used to express this as a lambda, which made every
-    observer state holding the generator unpicklable — blocking both
-    checkpointing and cross-process state exchange in the parallel
-    engine.  Instances compare by the action name so generator state
+    observer state holding the generator unpicklable, which blocked
+    checkpointing.  Instances compare by the action name so generator state
     keys and equality behave like values.
     """
 

@@ -136,7 +136,6 @@ def verify_protocol(
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
     should_stop=None,
-    workers: int = 1,
     reduce: str = "off",
     model: str = "sc",
     preemptions: Optional[int] = None,
@@ -164,10 +163,6 @@ def verify_protocol(
     the search with an honest ``bounded`` confidence instead of a
     proof.  For a *resumable* budgeted run, use
     :func:`repro.harness.run_verification` instead.
-
-    ``workers > 1`` shards the product search across that many worker
-    processes; the verdict and state counts are identical to the
-    sequential search (see ``docs/PARALLEL.md``).
 
     ``reduce`` selects the symmetry-reduction level (``"off"``,
     ``"proc"``, ``"proc+block"``, ``"full"``; see
@@ -204,7 +199,7 @@ def verify_protocol(
     if telemetry is not None:
         extra = {} if preemptions is None else {"preemptions": preemptions}
         telemetry.start_run(
-            protocol=protocol.describe(), mode=mode, workers=workers,
+            protocol=protocol.describe(), mode=mode,
             reduce=reduce, model=model, por=por, **extra,
         )
     res: ProductResult = explore_product(
@@ -214,7 +209,6 @@ def verify_protocol(
         max_states=max_states,
         max_depth=max_depth,
         should_stop=should_stop,
-        workers=workers,
         reduce=reduce,
         model=model,
         preemptions=preemptions,

@@ -1,13 +1,13 @@
 """Differential testing of the search engines.
 
-The parallel engine (:class:`~repro.engine.ParallelSearchEngine`) is
-only trustworthy if it is *provably honest*: sharding a verification
-across worker processes must change wall-clock time and nothing else.
-This module captures a search outcome as a :class:`SearchFingerprint`
-— a small, comparable summary of everything the engines promise to
-agree on — and diffs fingerprints across engine configurations
-(sequential vs. sharded, BFS vs. DFS vs. random-walk), producing a
-minimized divergence report when they disagree.
+An engine configuration is only trustworthy if it is *provably
+honest*: changing the frontier strategy or the state-store backend
+must change wall-clock time and nothing else.  This module captures a
+search outcome as a :class:`SearchFingerprint` — a small, comparable
+summary of everything the configurations promise to agree on — and
+diffs fingerprints across them (BFS vs. DFS vs. random-walk, mem vs.
+disk store), producing a minimized divergence report when they
+disagree.
 
 What must agree, and when:
 
@@ -33,8 +33,8 @@ What must agree, and when:
 Symmetry reduction (``--reduce``; :mod:`repro.engine.reduction`) adds
 a second axis: two runs at the *same* level are held to the full
 contract above (the quotient space is enumerated deterministically,
-so counts agree across strategies and worker counts exactly as the
-unreduced space does), while a reduced and an unreduced run are
+so counts agree across strategies exactly as the unreduced space
+does), while a reduced and an unreduced run are
 compared **cross-level**: verdict, counterexample replay validity and
 — in exhaustive mode — the canonically reported violating state must
 agree, but the counts must *not* (shrinking them is the point of the
@@ -47,10 +47,10 @@ own axis with a *weaker* cross-level contract than symmetry reduction:
 an ample-set search explores a subset of the full state graph chosen
 against the interning order (the C3 proviso asks "is this successor
 already interned?"), so even two ``--por on`` runs with different
-frontier strategies or worker counts may legitimately explore
-different state counts.  What carries across POR configurations is
+frontier strategies may legitimately explore different state
+counts.  What carries across POR configurations is
 :data:`CROSS_POR_FIELDS` — the verdict and counterexample replay
-validity; fixing (strategy, workers, seed) restores bit-exact
+validity; fixing (strategy, seed) restores bit-exact
 reproducibility, which same-config comparisons still enforce in full.
 
 The consistency-model layer (:mod:`repro.models`) adds a third axis.
@@ -83,15 +83,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core.protocol import Protocol
 from .core.storder import STOrderGenerator
 from .core.verify import check_run
-from .engine import ParallelSearchEngine
 from .engine.sharding import stable_hash
 from .modelcheck.product import ProductSearch
 from .obs import MetricsRegistry, Telemetry, TraceWriter
 
 #: the ``search.*`` gauges every honest engine configuration must agree
 #: on for a completed search (peak_frontier and max_depth are excluded:
-#: both legitimately vary with sharding — per-shard peaks sum, and round
-#: quotas reorder the depth at which a state is first reached)
+#: both are high-water marks that legitimately vary with the frontier
+#: strategy)
 DETERMINISTIC_GAUGES = (
     "search.states",
     "search.transitions",
@@ -130,7 +129,6 @@ class SearchFingerprint:
     protocol: str
     mode: str
     strategy: str
-    workers: int
     exhaustive: bool
 
     # the contract
@@ -143,9 +141,8 @@ class SearchFingerprint:
     canonical_violation: Optional[int]
     cx_len: Optional[int]
     cx_replays: Optional[bool]  #: None when no counterexample was produced
-    #: symmetry-reduction level the search ran under (provenance, like
-    #: ``workers`` — but unlike workers it changes which fields another
-    #: configuration must reproduce)
+    #: symmetry-reduction level the search ran under (provenance that
+    #: also changes which fields another configuration must reproduce)
     reduce: str = "off"
     #: consistency model the search checked (provenance; fingerprints
     #: of different models are never field-compared — the lattice
@@ -170,14 +167,14 @@ class SearchFingerprint:
         return (
             f"{self.protocol} [model={self.model}{bound} mode={self.mode} "
             f"strategy={self.strategy} "
-            f"workers={self.workers} reduce={self.reduce} por={self.por} "
+            f"reduce={self.reduce} por={self.por} "
             f"{'exhaustive' if self.exhaustive else 'stop-on-first'}]"
         )
 
     def provenance(self) -> Dict[str, object]:
         """The search-identity fields the run ledger hashes
         (:data:`repro.obs.ledger.PROVENANCE_FIELDS`): what was
-        searched, excluding run policy such as ``workers`` — so a
+        searched, excluding run policy such as ``store`` — so a
         fingerprint keys straight into :meth:`RunLedger.lookup`."""
         return {
             "protocol": self.protocol,
@@ -233,7 +230,6 @@ def fingerprint(
     mode: str = "fast",
     strategy: str = "bfs",
     seed: int = 0,
-    workers: int = 1,
     reduce: str = "off",
     model: str = "sc",
     preemptions: Optional[int] = None,
@@ -241,10 +237,6 @@ def fingerprint(
     exhaustive: bool = True,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
-    worker_retries: int = 2,
-    on_worker_failure: str = "reshard",
-    round_timeout_s: Optional[float] = None,
-    chaos=None,
     store=None,
 ) -> SearchFingerprint:
     """Run one product search and summarise it for comparison.
@@ -259,15 +251,9 @@ def fingerprint(
     fingerprint's ``metrics`` field captures the deterministic gauge
     subset — tracing a run must never change what it computes.
 
-    ``chaos`` (with the other supervision knobs) arms deterministic
-    engine faults for the run — deliberately **not** a provenance
-    field on the fingerprint: the whole point of the chaos tests is
-    that a faulted-and-recovered run must fingerprint identically to
-    a clean one.
-
     ``store`` selects the state-store backend (``"mem"``/``"disk"``
-    or a :class:`~repro.engine.intern.StoreConfig`) — likewise run
-    policy and deliberately **not** a provenance field: the
+    or a :class:`~repro.engine.intern.StoreConfig`) — run policy and
+    deliberately **not** a provenance field: the
     backend-invariance contract (docs/ARCHITECTURE.md) is that a
     spill-to-disk search fingerprints bit-identically to the
     all-in-RAM one, and the cross-backend difftest asserts exactly
@@ -279,7 +265,6 @@ def fingerprint(
         mode=mode,
         strategy=strategy,
         seed=seed,
-        workers=workers,
         reduce=reduce,
         model=model,
         preemptions=preemptions,
@@ -287,10 +272,6 @@ def fingerprint(
         stop_on_violation=not exhaustive,
         max_states=max_states,
         max_depth=max_depth,
-        worker_retries=worker_retries,
-        on_worker_failure=on_worker_failure,
-        round_timeout_s=round_timeout_s,
-        chaos=chaos,
         store=store,
     )
     telemetry = Telemetry(registry=MetricsRegistry(), trace=TraceWriter([]))
@@ -306,11 +287,7 @@ def fingerprint(
     if exhaustive and viol_hashes:
         ref = engine._final.violating if engine._final is not None else None
         if ref is not None:
-            if isinstance(engine, ParallelSearchEngine):
-                shard, lid = ref
-                canonical = stable_hash(engine.shards[shard].store.key_of(lid))
-            else:
-                canonical = stable_hash(engine.store.key_of(ref))
+            canonical = stable_hash(engine.store.key_of(ref))
 
     cx_len: Optional[int] = None
     cx_replays: Optional[bool] = None
@@ -328,7 +305,6 @@ def fingerprint(
         protocol=protocol.describe(),
         mode=mode,
         strategy=strategy,
-        workers=workers,
         reduce=reduce,
         model=model,
         preemptions=preemptions,
@@ -366,8 +342,8 @@ CROSS_REDUCE_FIELDS = frozenset(
 )
 
 #: the cross-POR contract: what two runs at different POR levels — or
-#: two ``--por on`` runs under different frontier strategies / worker
-#: counts — promise each other.  Strictly weaker than
+#: two ``--por on`` runs under different frontier strategies — promise
+#: each other.  Strictly weaker than
 #: :data:`CROSS_REDUCE_FIELDS`: counts are out (the ample search is
 #: smaller by design), and so is the canonical violation — ample sets
 #: defer *invisible* actions, so the reduced search may first reject
@@ -392,7 +368,7 @@ def compare_fingerprints(
     violation, while exploring *fewer* states — so its counts are
     required to differ, not to agree.  Fingerprints taken at different
     POR levels — or both at ``--por on`` but under different frontier
-    strategies or worker counts, where the C3 proviso's dependence on
+    strategies, where the C3 proviso's dependence on
     interning order makes the explored subset configuration-specific —
     are restricted to :data:`CROSS_POR_FIELDS`.
     """
@@ -409,8 +385,7 @@ def compare_fingerprints(
     if base.reduce != other.reduce:
         names &= CROSS_REDUCE_FIELDS
     if base.por != other.por or (
-        base.por != "off"
-        and (base.strategy, base.workers) != (other.strategy, other.workers)
+        base.por != "off" and base.strategy != other.strategy
     ):
         names &= CROSS_POR_FIELDS
     return [(name, a[name], b[name]) for name in sorted(names) if a[name] != b[name]]

@@ -11,7 +11,7 @@ degradation ladder — is a thin adapter over three pieces:
   runs are rebuilt from a parent-pointer array.
 * :mod:`repro.engine.component` — the uniform :class:`Component`
   stepping contract ``step(state, input) -> (next_state, emissions)``
-  shared by protocol, observer, checker and ST-order generator, and
+  shared by protocol, observer and checker, and
   :class:`ComposedSystem`, the generic protocol × observer × checker
   composition (Qadeer-style: the whole stack as one transition
   system).
@@ -20,17 +20,7 @@ degradation ladder — is a thin adapter over three pieces:
   that owns caps, the cooperative ``should_stop`` budget hook and the
   state needed for checkpoint/resume.
 
-Scaling out, :mod:`repro.engine.parallel` adds
-:class:`ParallelSearchEngine`: the same search hash-sharded
-(:mod:`repro.engine.sharding`) across N worker processes, each owning
-a :class:`~repro.engine.intern.ShardStore` slice and frontier, with
-batched cross-shard successor exchange and a deterministic
-canonical-order merge — ``--workers N`` on the CLI, cross-checked
-against the sequential oracle by the differential suite
-(``tests/test_differential.py``).
-
-See ``docs/ARCHITECTURE.md`` for the layering and the adapters, and
-``docs/PARALLEL.md`` for the sharding design.
+See ``docs/ARCHITECTURE.md`` for the layering and the adapters.
 """
 
 from .component import (
@@ -40,17 +30,10 @@ from .component import (
     ObserverComponent,
     ProtocolComponent,
     ProtocolSystem,
-    STOrderComponent,
     Step,
     System,
 )
-from .intern import ShardStore, StateStore
-from .parallel import (
-    FAILURE_POLICIES,
-    ParallelSearchEngine,
-    ShardPayload,
-    WorkerFailure,
-)
+from .intern import StateStore
 from .por import (
     POR_LEVELS,
     AmpleSelector,
@@ -59,8 +42,8 @@ from .por import (
     PorSpec,
     build_por,
 )
-from .sharding import reroute_records, shard_of, stable_hash
-from ..obs.stats import ExplorationStats, merge_shard_stats
+from .sharding import stable_hash
+from ..obs.stats import ExplorationStats
 from .strategy import (
     BFSFrontier,
     DFSFrontier,
@@ -79,30 +62,21 @@ __all__ = [
     "ComposedSystem",
     "DFSFrontier",
     "ExplorationStats",
-    "FAILURE_POLICIES",
     "Footprint",
     "Frontier",
     "ObserverComponent",
     "POR_LEVELS",
-    "ParallelSearchEngine",
     "PorError",
     "PorSpec",
     "ProtocolComponent",
     "ProtocolSystem",
     "RandomWalkFrontier",
-    "STOrderComponent",
     "SearchEngine",
     "SearchOutcome",
-    "ShardPayload",
-    "ShardStore",
     "StateStore",
     "Step",
     "System",
-    "WorkerFailure",
     "build_por",
     "make_frontier",
-    "merge_shard_stats",
-    "reroute_records",
-    "shard_of",
     "stable_hash",
 ]

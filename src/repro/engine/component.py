@@ -12,13 +12,6 @@ contract::
 * :class:`ObserverComponent` — states are
   :class:`~repro.core.observer.Observer` instances, inputs are
   protocol transitions, emissions are descriptor symbols;
-* :class:`STOrderComponent` — states are
-  :class:`~repro.core.storder.STOrderGenerator` instances, inputs are
-  store/internal events, emissions are
-  :class:`~repro.core.storder.Serialized` events (inside the pipeline
-  the generator steps *through* the observer, which owns the
-  handle↔node mapping; this adapter gives it the same face for
-  standalone composition and tests);
 * :class:`CheckerComponent` — states are checker instances, inputs are
   symbol batches, emissions are empty (the verdict lives in the
   state).
@@ -39,7 +32,6 @@ from typing import Any, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.checker import Checker
 from ..core.cycle_checker import CycleChecker
-from ..core.operations import InternalAction, Store
 from ..core.protocol import Protocol, Transition
 from ..core.storder import STOrderGenerator
 
@@ -47,7 +39,6 @@ __all__ = [
     "Component",
     "ProtocolComponent",
     "ObserverComponent",
-    "STOrderComponent",
     "CheckerComponent",
     "Step",
     "System",
@@ -138,37 +129,6 @@ class ObserverComponent(Component):
 
     def state_key(self, state, canon=None) -> Hashable:
         return state.state_key(canon)
-
-
-class STOrderComponent(Component):
-    """An ST-order generator as a component.  Inputs are either
-    ``(handle, store_op)`` pairs (a new ST node) or
-    :class:`~repro.core.operations.InternalAction` objects; emissions
-    are the resolved :class:`~repro.core.storder.Serialized` events."""
-
-    def __init__(self, template: Optional[STOrderGenerator] = None):
-        from ..core.storder import RealTimeSTOrder
-
-        self.template = template if template is not None else RealTimeSTOrder()
-
-    def initial(self) -> STOrderGenerator:
-        return self.template.copy()
-
-    def step(self, state: STOrderGenerator, inp):
-        gen = state.copy()
-        if isinstance(inp, InternalAction):
-            events = gen.on_internal(inp)
-        else:
-            handle, op = inp
-            if not isinstance(op, Store):
-                raise TypeError(f"not a generator input: {inp!r}")
-            events = gen.on_store(handle, op)
-        return gen, tuple(events)
-
-    def state_key(self, state: STOrderGenerator, canon=None) -> Hashable:
-        if canon is None:
-            return state.state_key()
-        return state.state_key(lambda h: canon.get(h, h))
 
 
 class CheckerComponent(Component):

@@ -20,9 +20,9 @@ Storage backends
 What caps protocol size is not search logic but state explosion
 (ROADMAP: "Beyond-RAM state spaces"): the interning dict pins every
 canonical key in RAM for the lifetime of the search.  The store is
-therefore split into a thin **facade** (:class:`StateStore` /
-:class:`ShardStore` — parent/action/depth columns plus the public
-search API, unchanged) over a pluggable **key backend**
+therefore split into a thin **facade** (:class:`StateStore` —
+parent/action/depth columns plus the public search API, unchanged)
+over a pluggable **key backend**
 (:class:`StoreBackend`):
 
 * :class:`MemBackend` (``--store mem``, the default) is the original
@@ -39,18 +39,16 @@ search API, unchanged) over a pluggable **key backend**
 The backend is **run policy**, never search provenance: which backend
 interned the keys cannot affect a single ID, count or verdict, and the
 differential harness enforces bit-identical
-:class:`~repro.difftest.SearchFingerprint` across ``mem`` × ``disk``
-(the same contract worker counts and supervision knobs are held to).
+:class:`~repro.difftest.SearchFingerprint` across ``mem`` × ``disk``.
 
-Both facades additionally expose batched entry points
+The facade additionally exposes batched entry points
 (:meth:`StateStore.lookup_many` / :meth:`StateStore.intern_many`) so
 the engine hot loop can intern a whole successor batch in array form —
 the seam where a compiled kernel can later slot in without touching
 callers.
 
 The store is plain data so a paused search pickles and resumes exactly
-(:mod:`repro.harness.checkpoint`), and a parallel shard's store
-re-shards by replaying its key list.  Legacy checkpoints written
+(:mod:`repro.harness.checkpoint`).  Legacy checkpoints written
 before the backend split (raw ``_ids``/``_keys`` slot pickles) are
 still loaded: :meth:`StateStore.__setstate__` rebuilds a
 :class:`MemBackend` and recomputes the depth column from the parent
@@ -62,8 +60,10 @@ from __future__ import annotations
 import mmap
 import os
 import pickle
+import shutil
 import struct
 import tempfile
+import weakref
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -90,7 +90,6 @@ __all__ = [
     "MemBackend",
     "DiskBackend",
     "StateStore",
-    "ShardStore",
 ]
 
 #: parent marker of a root (initial) state
@@ -117,7 +116,7 @@ class StoreError(RuntimeError):
 class StoreConfig:
     """Which backend to intern state keys in, and its capacity knobs.
 
-    Run policy, like ``--workers``: a :class:`StoreConfig` never
+    Run policy: a :class:`StoreConfig` never
     appears in search provenance (ledger hash, fingerprint fields) and
     an explicit ``--store`` on resume *overrides* the checkpointed
     backend rather than raising a mismatch error.
@@ -164,7 +163,7 @@ def make_backend(config: StoreConfig) -> "StoreBackend":
 
 
 class StoreBackend(Protocol):
-    """What a key backend owes the store facades.
+    """What a key backend owes the store facade.
 
     A backend interns hashable canonical keys to dense IDs in
     discovery order — nothing else.  Parent/action/depth columns stay
@@ -410,14 +409,15 @@ class DiskBackend:
     :class:`StoreError`, which checkpoint loading reports as a clean
     ``CheckpointError``.  Bytes past the recorded log end (a crash
     mid-append) are ignored on verification and truncated before the
-    new owner's first append.  Spill directories are never deleted
-    automatically: a checkpoint on disk may still reference them.
+    new owner's first append.
 
-    A shard's backend is owned by exactly one process at a time (the
-    BSP engine moves payloads, never shares them), which is what makes
-    the append-only log safe across fork/pickle hops; lazily reopened
-    file handles are keyed to ``os.getpid()`` so an inherited handle
-    is never written through.
+    The spill directory a backend creates is removed when the backend
+    is garbage-collected (or at interpreter exit), unless a checkpoint
+    references it: pickling the backend detaches that cleanup, and a
+    backend restored from a pickle never registers one, so directories
+    named by a checkpoint on disk survive for its resume.  Lazily
+    reopened file handles are keyed to ``os.getpid()`` so a handle
+    inherited across ``fork`` is never written through.
     """
 
     __slots__ = (
@@ -441,6 +441,8 @@ class DiskBackend:
         "_idxf",
         "_mm",
         "_pid",
+        "_cleanup",
+        "__weakref__",
     )
 
     kind = "disk"
@@ -450,6 +452,11 @@ class DiskBackend:
         base = self._cfg.dir or tempfile.gettempdir()
         os.makedirs(base, exist_ok=True)
         self._dir = tempfile.mkdtemp(prefix="repro-store-", dir=base)
+        # ignore_errors: the directory may already be gone (a caller
+        # that owns the spill root can remove it first)
+        self._cleanup = weakref.finalize(
+            self, shutil.rmtree, self._dir, ignore_errors=True
+        )
         self._log_path = os.path.join(self._dir, "keys.log")
         self._idx_path = os.path.join(self._dir, "keys.idx")
         with open(self._log_path, "wb"):
@@ -750,6 +757,10 @@ class DiskBackend:
 
     def __getstate__(self):
         self.sync()
+        # a checkpoint is about to reference the spill files: they must
+        # outlive this backend
+        if self._cleanup is not None:
+            self._cleanup.detach()
         return {
             "cfg": self._cfg,
             "dir": self._dir,
@@ -785,13 +796,15 @@ class DiskBackend:
         self._io_s = state["io_s"]
         self._logw = self._logr = self._idxf = self._mm = None
         self._pid = None
+        # restored from a checkpoint, which still references the files
+        self._cleanup = None
         self._verify_and_reindex()
 
     def _verify_and_reindex(self) -> None:
         """Verify every referenced frame of the spill log and rebuild
         the index from the verified keys.
 
-        Runs on every unpickle (worker hand-off, checkpoint resume).
+        Runs on every unpickle (checkpoint resume).
         Bytes past ``log_end`` are tolerated here — a crash mid-append
         leaves a partial frame that the next owner truncates before
         writing — but a log shorter than its reference, a length or
@@ -968,8 +981,8 @@ class StateStore:
 
     def key_of(self, sid: int) -> Hashable:
         """The interned key of ``sid`` (IDs are dense, discovery
-        order).  The reverse direction of :meth:`intern` — the parallel
-        engine re-shards stores through it, and the differential
+        order).  The reverse direction of :meth:`intern` — backend
+        migration copies stores through it, and the differential
         harness uses it to compare violating-state *keys* (IDs are
         discovery-order artifacts; keys are canonical)."""
         return self._backend.key_of(sid)
@@ -991,7 +1004,7 @@ class StateStore:
         """A copy of this store under a different backend: keys
         re-interned in ID order (so every ID is preserved), columns
         copied.  Used when ``--store`` on resume overrides the
-        checkpointed backend — run policy, like ``--workers``."""
+        checkpointed backend (run policy)."""
         new = StateStore(store)
         for sid in range(len(self)):
             nsid, fresh = new._backend.intern(self.key_of(sid))
@@ -1033,171 +1046,3 @@ class StateStore:
             self._action = state["action"]
             self._depth = state["depth"]
 
-
-class ShardStore:
-    """One shard's slice of the interned state space.
-
-    The parallel engine's per-worker counterpart of
-    :class:`StateStore`: local IDs are dense ints in shard discovery
-    order, but parent pointers are *global* ``(shard, id)`` pairs —
-    a state discovered from a cross-shard successor records the
-    producing shard's parent, and counterexample reconstruction walks
-    the pointers across shard stores
-    (:meth:`repro.engine.parallel.ParallelSearchEngine.path_to`).
-
-    Shares the facade-over-:class:`StoreBackend` split (and the
-    ``depth_of`` / ``id_of`` surface) with :class:`StateStore`, so the
-    two stores are API parity and a shard spills to disk exactly like
-    a sequential store does.  Depths cannot be derived locally (the
-    parent may live in another shard), so :meth:`set_parent` takes the
-    depth the engine's successor record already carries.
-
-    Pickles — both for the round-trip back to the coordinator when a
-    search pauses and for checkpoint format v3; the disk backend
-    pickles by fsync-and-reference of its spill files.
-    """
-
-    __slots__ = ("_backend", "_pshard", "_pid", "_action", "_depth")
-
-    def __init__(self, store=None) -> None:
-        backend = make_backend(as_config(store))
-        self._backend = backend
-        self._pshard = backend.new_int_column()
-        self._pid = backend.new_int_column()
-        self._action = backend.new_action_column()
-        self._depth = backend.new_int_column()
-
-    # ------------------------------------------------------------------
-    @property
-    def backend(self) -> StoreBackend:
-        return self._backend
-
-    @property
-    def backend_kind(self) -> str:
-        return self._backend.kind
-
-    @property
-    def config(self) -> StoreConfig:
-        return self._backend.config
-
-    # ------------------------------------------------------------------
-    def intern(self, key: Hashable) -> Tuple[int, bool]:
-        """Return ``(local id, is_new)`` for ``key``."""
-        lid, new = self._backend.intern(key)
-        if new:
-            self._pshard.append(NO_PARENT)
-            self._pid.append(NO_PARENT)
-            self._action.append(None)
-            self._depth.append(0)
-        return lid, new
-
-    def intern_many(self, keys, hits=None) -> List[Tuple[int, bool]]:
-        """Batched :meth:`intern` (see :meth:`StateStore.intern_many`)."""
-        pairs = self._backend.intern_many(keys, hits)
-        pshard, pid, action, depth = (
-            self._pshard,
-            self._pid,
-            self._action,
-            self._depth,
-        )
-        for _lid, new in pairs:
-            if new:
-                pshard.append(NO_PARENT)
-                pid.append(NO_PARENT)
-                action.append(None)
-                depth.append(0)
-        return pairs
-
-    def set_parent(
-        self,
-        lid: int,
-        pshard: int,
-        pid: int,
-        action: object,
-        depth: Optional[int] = None,
-    ) -> None:
-        """Record the global parent of ``lid`` (roots keep
-        ``(NO_PARENT, NO_PARENT)``).  ``depth`` is the discovered
-        state's own depth, taken from the engine's successor record —
-        it cannot be derived locally because the parent may live in
-        another shard.  ``None`` (legacy callers) records 0."""
-        self._pshard[lid] = pshard
-        self._pid[lid] = pid
-        self._action[lid] = action
-        self._depth[lid] = 0 if depth is None else depth
-
-    def parent_of(self, lid: int) -> Tuple[int, int, Optional[object]]:
-        return self._pshard[lid], self._pid[lid], self._action[lid]
-
-    def depth_of(self, lid: int) -> int:
-        """Depth recorded for ``lid`` at :meth:`set_parent` time —
-        O(1).  Zero for states restored from pre-backend checkpoints,
-        which carried no depth column."""
-        return self._depth[lid]
-
-    def key_of(self, lid: int) -> Hashable:
-        return self._backend.key_of(lid)
-
-    def id_of(self, key: Hashable) -> Optional[int]:
-        return self._backend.lookup(key)
-
-    def lookup_many(self, keys) -> List[Optional[int]]:
-        return self._backend.lookup_many(keys)
-
-    def __len__(self) -> int:
-        return len(self._backend)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._backend
-
-    # ------------------------------------------------------------------
-    def store_stats(self) -> Dict[str, object]:
-        return self._backend.store_stats()
-
-    def sync(self) -> None:
-        self._backend.sync()
-
-    def converted(self, store) -> "ShardStore":
-        """A copy under a different backend, IDs preserved (see
-        :meth:`StateStore.converted`)."""
-        new = ShardStore(store)
-        for lid in range(len(self)):
-            nlid, fresh = new._backend.intern(self.key_of(lid))
-            assert fresh and nlid == lid
-            new._pshard.append(self._pshard[lid])
-            new._pid.append(self._pid[lid])
-            new._action.append(self._action[lid])
-            new._depth.append(self._depth[lid])
-        return new
-
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        return {
-            "backend": self._backend,
-            "pshard": self._pshard,
-            "pid": self._pid,
-            "action": self._action,
-            "depth": self._depth,
-        }
-
-    def __setstate__(self, state):
-        state = _legacy_state(state)
-        if "_ids" in state:
-            # pre-backend checkpoint: depths are unrecoverable locally
-            # (parents live in other shards) — record zeros; nothing in
-            # the sharded search reads them (the frontier carries its
-            # own depths), the column only exists for API parity
-            backend = MemBackend()
-            backend._ids = state["_ids"]
-            backend._keys = state["_keys"]
-            self._backend = backend
-            self._pshard = state["_pshard"]
-            self._pid = state["_pid"]
-            self._action = state["_action"]
-            self._depth = [0] * len(self._pshard)
-        else:
-            self._backend = state["backend"]
-            self._pshard = state["pshard"]
-            self._pid = state["pid"]
-            self._action = state["action"]
-            self._depth = state["depth"]

@@ -76,12 +76,6 @@ under two rules:
   <repro.engine.intern.StateStore.depth_of>`), so the check needs no
   in-stack bookkeeping and is strategy-independent (BFS, DFS, random
   walk: frontier entries are pushed exactly once, at intern time).
-  Under sharding cross-shard parents make local depth lookups
-  meaningless, so the proviso strengthens to *local-and-new*
-  (:func:`proviso_sharded`): every ample successor must hash to the
-  expanding shard and be new there, confining would-be cycles to one
-  shard's discovery tree — stricter, so ``--workers N`` under
-  ``--por on`` may explore (soundly) more states than ``--workers 1``.
 
 States stay **concrete**: like symmetry reduction, POR lives entirely
 in which successors are expanded — parent pointers record real
@@ -105,7 +99,7 @@ Determinism
 Selection is a deterministic function of the enabled schema set (plus
 the spec's :meth:`~PorSpec.memo_key` abstraction of the state), and
 the proviso of the store contents at expansion time — so a fixed
-(strategy, workers, seed) configuration is bit-reproducible, which the
+(strategy, seed) configuration is bit-reproducible, which the
 checkpoint/recovery machinery requires.  Across *different*
 configurations the explored-state counts legitimately differ (the
 proviso sees different interning orders); the differential contract
@@ -131,7 +125,6 @@ __all__ = [
     "build_por",
     "dependent",
     "proviso",
-    "proviso_sharded",
 ]
 
 #: the ``--por`` levels (boolean today; named so a future guided level
@@ -416,19 +409,6 @@ def proviso(ample, store, depth: int) -> bool:
         if sid is not None and store.depth_of(sid) != depth + 1:
             return False
     return True
-
-
-def proviso_sharded(ample, store, nshards: int, shard_index: int) -> bool:
-    """The sharded proviso: local-and-new.  Every ample successor must
-    hash to the expanding shard *and* be new there, so any would-be
-    ample-only cycle lives entirely inside one shard's store, where
-    the sequential all-new argument applies unchanged."""
-    from .sharding import shard_of
-
-    return all(
-        shard_of(step.key, nshards) == shard_index and step.key not in store
-        for step in ample
-    )
 
 
 # ----------------------------------------------------------------------

@@ -36,11 +36,6 @@ Violating observer states are exempt from orbit minimization: their
 which no permutation can rewrite.  They are recorded, never expanded,
 so the exemption costs reduction only on terminal states — soundness
 is unaffected.
-
-Sharding composes for free: the parallel engine shards on
-``stable_hash(step.key)``, and under reduction ``step.key`` *is* the
-quotient key, so all members of an orbit land on the same shard and
-are interned exactly once globally.
 """
 
 from __future__ import annotations
@@ -367,8 +362,8 @@ class ReductionCounters:
 class Reduction:
     """The enumerated permutation group plus the orbit-minimum map.
 
-    Picklable plain data (the parallel engine forks it into workers;
-    checkpoints carry it inside the pickled search).  ``perms`` always
+    Picklable plain data (checkpoints carry it inside the pickled
+    search).  ``perms`` always
     starts with the identity, and ties in the orbit minimum are broken
     in its favour, so ``counters.orbit_hits`` counts exactly the
     canonicalizations that landed on a *different* representative.
@@ -382,7 +377,7 @@ class Reduction:
         self.counters = ReductionCounters()
 
     def __reduce__(self):
-        # counters are run-local; a forked/unpickled copy starts fresh
+        # counters are run-local; an unpickled copy starts fresh
         return (Reduction, (self.level, self.spec, self.perms))
 
     @property

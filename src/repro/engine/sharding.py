@@ -1,18 +1,15 @@
-"""Stable structural hashing for state sharding.
+"""Stable structural hashing of canonical state keys.
 
-The parallel engine routes every canonical state key to the worker
-that owns it: ``shard_of(key, n)``.  Two hard requirements rule out
-Python's built-in ``hash``:
+Two places need a hash of a state key that is the same in every
+interpreter and every run, which rules out Python's built-in ``hash``
+(``str.__hash__`` is salted per process via ``PYTHONHASHSEED``):
 
-* **cross-process agreement** — the same logical state can be
-  generated on two different workers, and both must route it to the
-  same owner.  ``str.__hash__`` is salted per process
-  (``PYTHONHASHSEED``), so under the ``spawn`` start method two
-  workers would disagree about any key containing a string.
-* **cross-run agreement** — a checkpointed parallel search resumes in
-  a fresh interpreter (possibly with a different worker count), and
-  re-sharding must send previously-interned keys to deterministic
-  owners so the differential guarantees survive resume.
+* the disk store backend (:class:`~repro.engine.intern.DiskBackend`)
+  keys its on-disk open-addressing index with :func:`key_hash64`, and
+  that index must survive checkpoint resume in a fresh interpreter;
+* exhaustive-mode searches order their violating states by
+  :func:`stable_hash` of the key, so the canonical violation a run
+  reports does not depend on discovery order.
 
 :func:`stable_hash` therefore hashes the key *structurally*: a 64-bit
 FNV-1a accumulation over the tree of tuples, with strings hashed by
@@ -25,7 +22,7 @@ strings, ``None`` and booleans (every set-like structure is sorted
 into tuples when the key is built — see ``Observer.state_key``), so
 the fallback path is effectively never taken; it exists so foreign
 :class:`~repro.engine.component.System` implementations with exotic
-key atoms still shard consistently within one run.
+key atoms still hash consistently within one run.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from __future__ import annotations
 import zlib
 from typing import Hashable
 
-__all__ = ["stable_hash", "key_hash64", "shard_of", "reroute_records"]
+__all__ = ["stable_hash", "key_hash64"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -100,8 +97,8 @@ def _fold(h: int, obj) -> int:
 def _mix(h: int, v: int) -> int:
     h ^= v & _MASK
     h = (h * _FNV_PRIME) & _MASK
-    # one round of avalanche so low bits depend on high bits (shard
-    # selection uses ``% n`` with small n)
+    # one round of avalanche so low bits depend on high bits (the disk
+    # index masks off the low bits to pick a slot)
     h ^= h >> 29
     return h
 
@@ -112,30 +109,9 @@ def key_hash64(key: Hashable) -> int:
     on-disk slots.
 
     The disk store backend (:class:`~repro.engine.intern.DiskBackend`)
-    keys its mmap'd open-addressing index with this — the same
-    process/run stability argument that makes :func:`shard_of` safe
-    makes the index survive checkpoint resume in a fresh interpreter.
+    keys its mmap'd open-addressing index with this; process and run
+    stability is what lets the index survive checkpoint resume in a
+    fresh interpreter.
     """
     return stable_hash(key) & _MASK
 
-
-def shard_of(key: Hashable, num_shards: int) -> int:
-    """The shard that owns ``key`` (0 when there is only one)."""
-    if num_shards <= 1:
-        return 0
-    return stable_hash(key) % num_shards
-
-
-def reroute_records(records, num_shards: int):
-    """Bucket successor records by owner shard under ``num_shards``.
-
-    ``records`` are engine records whose first element is the
-    canonical key; the result is a list of ``num_shards`` buckets with
-    input order preserved within each bucket — the routing step shared
-    by checkpoint resharding and crash recovery, so both re-route
-    pending work identically.
-    """
-    buckets = [[] for _ in range(num_shards)]
-    for rec in records:
-        buckets[shard_of(rec[0], num_shards)].append(rec)
-    return buckets

@@ -145,8 +145,7 @@ class SearchOutcome:
     """Raw result of a :meth:`SearchEngine.run` leg.
 
     ``status`` is ``"violation"`` (``violating`` holds the reference of
-    the rejecting state — an interned ID for the sequential engine, a
-    ``(shard, id)`` pair for the parallel one), ``"stopped"`` (a
+    the rejecting state, an interned ID), ``"stopped"`` (a
     cooperative budget stop; the engine stays resumable) or ``"done"``
     (space exhausted or cap truncation drained the frontier).
 
@@ -181,10 +180,10 @@ class SearchEngine:
     the differential oracle compares engines in: violating states are
     recorded (and, like always, never expanded) but the search runs to
     exhaustion, so the explored set — and therefore every counter —
-    is independent of frontier strategy and worker count.  The final
-    outcome reports the violation whose canonical key has the smallest
-    :func:`~repro.engine.sharding.stable_hash` (a strategy- and
-    shard-independent choice).
+    is independent of frontier strategy.  The final outcome reports the
+    violation whose canonical key has the smallest
+    :func:`~repro.engine.sharding.stable_hash` (a strategy-independent
+    choice).
     """
 
     def __init__(
@@ -260,8 +259,7 @@ class SearchEngine:
 
     def _violation_outcome(self) -> SearchOutcome:
         """The canonical violation verdict: minimal by stable hash of
-        the violating key, so exhaustive runs agree across strategies
-        and worker counts."""
+        the violating key, so exhaustive runs agree across strategies."""
         from .sharding import stable_hash
 
         best = min(
@@ -440,7 +438,7 @@ class SearchEngine:
                 if bad:
                     # violating states are recorded and never expanded;
                     # in exhaustive mode the search carries on so the
-                    # explored set stays strategy/worker independent
+                    # explored set stays strategy independent
                     self.violations.append(cid)
                     if self._stop_on_violation:
                         self._final = self._violation_outcome()

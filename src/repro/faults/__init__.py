@@ -9,26 +9,10 @@ emission); :class:`FaultyProtocol` / :func:`apply_faults` compose
 mutations onto any registered protocol; :func:`fault_matrix` verifies
 every (protocol × fault) pair against the taxonomy's expectations.
 
-A second axis targets the machinery *underneath* the search:
-:mod:`repro.faults.infra` arms deterministic infrastructure faults
-(kill/stall a worker at round k, truncate a checkpoint, SIGTERM the
-coordinator) against which the engine's supervision layer and the
-hardened checkpoint path must recover bit-identically.
-
 See ``docs/ROBUSTNESS.md`` for the full taxonomy and the rationale for
 each expected verdict.
 """
 
-from .infra import (
-    DEFAULT_STALL_S,
-    ENGINE_CHAOS_KINDS,
-    INFRA_FAULT_KINDS,
-    ChaosError,
-    ChaosPlan,
-    InfraFault,
-    corrupt_file,
-    parse_chaos,
-)
 from .matrix import (
     DEFAULT_MATRIX_PROTOCOLS,
     MatrixEntry,
@@ -48,14 +32,6 @@ from .spec import (
 from .wrapper import FaultyProtocol, SwappedSTOrder, apply_faults, compose_copies
 
 __all__ = [
-    "ChaosError",
-    "ChaosPlan",
-    "DEFAULT_STALL_S",
-    "ENGINE_CHAOS_KINDS",
-    "INFRA_FAULT_KINDS",
-    "InfraFault",
-    "corrupt_file",
-    "parse_chaos",
     "FaultSpec",
     "FaultInapplicable",
     "FAULT_KINDS",

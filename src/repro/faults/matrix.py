@@ -141,7 +141,6 @@ def fault_matrix(
     seed: int = 0,
     include_baseline: bool = True,
     faults_for: Optional[Callable[..., List[FaultSpec]]] = None,
-    workers: int = 1,
     reduce: str = "off",
     por: str = "off",
     telemetry=None,
@@ -154,8 +153,6 @@ def fault_matrix(
     own stats, so a state budget applies per pair while a wall-clock
     budget is global).  ``faults_for`` overrides the fault battery
     (defaults to :func:`~repro.faults.spec.standard_faults`).
-    ``workers`` shards each pair's search across worker processes
-    (verdicts identical to ``workers=1``; see ``docs/PARALLEL.md``).
     ``reduce`` requests symmetry reduction per pair where the pair's
     protocol supports it: faults may target specific indices and
     reshape states, so a :class:`~repro.faults.wrapper.FaultyProtocol`
@@ -216,7 +213,6 @@ def fault_matrix(
                 max_states=max_states,
                 max_depth=max_depth,
                 should_stop=should_stop,
-                workers=workers,
                 reduce=pair_reduce,
                 por=pair_por,
                 telemetry=telemetry,

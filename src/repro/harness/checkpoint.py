@@ -12,11 +12,6 @@ replaced by :class:`~repro.core.storder.ActionKeyedSerializer`; a
 :meth:`Checkpoint.save` reports that clearly instead of writing a
 corrupt file.)
 
-Parallel searches (``--workers > 1``) write version-3 checkpoints
-holding the sharded engine; they resume under any worker count (the
-engine re-shards on resume).  Sequential searches keep writing
-version 2, which resumes only sequentially.
-
 Resumption is exact: the continued search explores precisely the
 states the truncated one had not reached, and reaches the same verdict
 as an unbudgeted run (asserted by the test suite on several
@@ -53,7 +48,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CHECKPOINT_VERSION",
-    "CHECKPOINT_VERSION_PARALLEL",
     "READABLE_VERSIONS",
     "BACKUP_SUFFIX",
 ]
@@ -69,13 +63,10 @@ __all__ = [
 #:   :class:`~repro.engine.intern.StateStore`, frontier object,
 #:   successor map over dense int IDs); version-1 files cannot be
 #:   resumed and are rejected loudly
-#: * 3 — parallel-engine layout: the search pickles a
-#:   :class:`~repro.engine.ParallelSearchEngine` (per-shard
-#:   :class:`~repro.engine.intern.ShardStore` stores, frontiers and
-#:   stats, plus undelivered cross-shard batches); written only by
-#:   ``--workers > 1`` searches.  A v3 file resumes under *any*
-#:   worker count (the engine re-shards on load); a v2 file, holding
-#:   a sequential engine, resumes only under ``workers = 1``.
+#: * 3 — a sharded-engine layout written by earlier builds; the
+#:   sharded engine is gone, so version-3 files are rejected: their
+#:   pickle names a class this build no longer has, which loads as a
+#:   clean :class:`CheckpointError`
 #:
 #: No bump for symmetry reduction: the ``reduce`` level rides on the
 #: pickled search object itself (``ProductSearch.reduce``, with its
@@ -87,16 +78,12 @@ __all__ = [
 #: under another.
 #:
 #: No bump for the integrity framing either: the header is detected by
-#: its magic bytes, files without it take the legacy raw-pickle path,
-#: and the supervision attributes added to the parallel engine backfill
-#: through ``__setstate__`` defaults.
+#: its magic bytes, and files without it take the legacy raw-pickle
+#: path.
 CHECKPOINT_VERSION = 2
 
-#: version written for a parallel (sharded) search
-CHECKPOINT_VERSION_PARALLEL = 3
-
 #: versions this build can read back
-READABLE_VERSIONS = (CHECKPOINT_VERSION, CHECKPOINT_VERSION_PARALLEL)
+READABLE_VERSIONS = (CHECKPOINT_VERSION,)
 
 #: the previous-good checkpoint rotated aside by :meth:`Checkpoint.save`
 BACKUP_SUFFIX = ".bak"
@@ -122,19 +109,11 @@ class Checkpoint:
 
     @classmethod
     def of(cls, search: ProductSearch, elapsed_s: float = 0.0) -> "Checkpoint":
-        from ..engine import ParallelSearchEngine
-
-        version = (
-            CHECKPOINT_VERSION_PARALLEL
-            if isinstance(search.engine, ParallelSearchEngine)
-            else CHECKPOINT_VERSION
-        )
         return cls(
             search=search,
             protocol=search.protocol.describe(),
             mode=search.mode,
             elapsed_s=elapsed_s,
-            version=version,
         )
 
     def save(self, path: str) -> None:

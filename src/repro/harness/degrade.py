@@ -71,7 +71,6 @@ def degrade(
     fuzz_length: int = 12,
     max_fuzz_runs: int = 2000,
     seed: int = 0,
-    workers: int = 1,
     store=None,
     telemetry=None,
 ) -> VerificationResult:
@@ -79,11 +78,7 @@ def degrade(
 
     Never raises on resource exhaustion and never hangs (every stage
     is budget-polled); the result's ``confidence`` field states which
-    rung of the ladder produced the verdict.  ``workers > 1`` shards
-    the model-check stages, with the supervision policy pinned to
-    ``sequential`` — inside the ladder, a worker failure must degrade
-    (to the in-process engine, then down the rungs), never raise.
-    ``store`` picks the state-store backend for the model-check rungs
+    rung of the ladder produced the verdict.  ``store`` picks the state-store backend for the model-check rungs
     (run policy, see :mod:`repro.engine.intern`) — the litmus/fuzz
     rungs hold no interned store, so it does not apply there.
     ``telemetry`` (a :class:`repro.obs.Telemetry`, optional) records a
@@ -93,7 +88,7 @@ def degrade(
     try:
         return _degrade(
             protocol, st_order, budget, mode, fuzz_length, max_fuzz_runs, seed,
-            workers, store, telemetry,
+            store, telemetry,
         )
     finally:
         budget.stop()
@@ -105,15 +100,12 @@ def _stage(telemetry, stage: str, **fields) -> None:
 
 
 def _degrade(protocol, st_order, budget, mode, fuzz_length, max_fuzz_runs, seed,
-             workers=1, store=None, telemetry=None):
+             store=None, telemetry=None):
     # stage 1: the real thing, under most of the budget -----------------
     stage1 = budget.slice(0.6)
     stage1.start()
     _stage(telemetry, "model-check")
-    search = ProductSearch(
-        protocol, st_order, mode=mode, workers=workers,
-        on_worker_failure="sequential", store=store,
-    )
+    search = ProductSearch(protocol, st_order, mode=mode, store=store)
     res = search.run(stage1.should_stop, telemetry)
     base = result_from_product(protocol, res)
     if res.counterexample is not None or not res.stats.truncated:
@@ -130,8 +122,7 @@ def _degrade(protocol, st_order, budget, mode, fuzz_length, max_fuzz_runs, seed,
         _stage(telemetry, "bounded-depth", depth=depth)
         bounded = ProductSearch(
             protocol, st_order, mode=mode, max_depth=depth,
-            check_quiescence_reachability=False, workers=workers,
-            on_worker_failure="sequential", store=store,
+            check_quiescence_reachability=False, store=store,
         ).run(stage2.should_stop, telemetry)
         if bounded.counterexample is not None:
             return result_from_product(protocol, bounded)

@@ -29,7 +29,6 @@ from typing import Optional, Union
 from ..core.protocol import Protocol
 from ..core.storder import STOrderGenerator
 from ..core.verify import VerificationResult, result_from_product
-from ..engine import ParallelSearchEngine
 from ..engine.intern import as_config
 from ..modelcheck.product import ProductSearch
 from ..obs.ledger import RunLedger, search_provenance
@@ -48,14 +47,14 @@ class _SignalStop:
 
     Wraps the budget's ``should_stop`` hook (or stands alone when
     there is no budget): the handler only records the signal — all
-    real work happens at the next round barrier / state poll, on the
+    real work happens at the next state poll, on the
     main thread, where the search pauses through its normal truncation
     path and the runner writes the final checkpoint.  A second signal
     restores the default disposition and re-raises itself, so an
     operator who really means it can still kill a wedged run.
 
     Installed only from the main thread (``signal.signal`` requires
-    it); anywhere else — worker threads, embedded interpreters — the
+    it); anywhere else — helper threads, embedded interpreters — the
     hook degrades to a transparent pass-through.
     """
 
@@ -106,7 +105,7 @@ def run_verification(
     :func:`_run_verification` for the full parameter contract (this
     wrapper shares its signature and docstring).  The wrapper exists
     for the flight recorder: any exception escaping the run —
-    ``CheckpointError``, a worker crash, a bug — dumps the telemetry
+    ``CheckpointError``, a store error, a bug — dumps the telemetry
     flight ring (``telemetry.flight``) before propagating, so the last
     events before the failure survive for forensics."""
     telemetry = kwargs.get("telemetry")
@@ -131,15 +130,10 @@ def _run_verification(
     resume_from: Optional[str] = None,
     strategy: str = "bfs",
     seed: int = 0,
-    workers: Optional[int] = None,
     reduce: Optional[str] = None,
     model: Optional[str] = None,
     preemptions: Optional[int] = None,
     por: Optional[str] = None,
-    worker_retries: Optional[int] = None,
-    on_worker_failure: Optional[str] = None,
-    round_timeout_s: Optional[float] = None,
-    chaos=None,
     store=None,
     telemetry=None,
     ledger: Optional[Union[str, RunLedger]] = None,
@@ -162,25 +156,9 @@ def _run_verification(
     :mod:`repro.engine.strategy`); BFS is the default and the only one
     that yields shortest counterexamples.
 
-    ``workers`` shards the search across that many worker processes
-    (``None`` means: 1 for a fresh search, whatever the checkpoint used
-    for a resumed one).  A parallel (version-3) checkpoint resumes
-    under any explicit worker count — the engine re-shards — while a
-    sequential (version-2) checkpoint holds a single-frontier engine
-    and therefore resumes only with ``workers`` 1 or ``None``;
-    requesting more raises :class:`CheckpointError` (CLI exit code 2).
-
-    ``worker_retries`` / ``on_worker_failure`` / ``round_timeout_s`` /
-    ``chaos`` configure the parallel engine's supervision layer (see
-    :class:`~repro.engine.ParallelSearchEngine`); ``None`` means the
-    engine defaults for a fresh search, and keep-what-the-checkpoint-
-    had for a resumed one (an explicit value overrides either way —
-    supervision knobs, unlike ``reduce``, are run policy, not search
-    state).
-
     ``reduce`` selects the symmetry-reduction level (``None`` means:
     ``"off"`` for a fresh search, whatever the checkpoint used for a
-    resumed one).  Unlike ``workers``, the level cannot change at
+    resumed one).  Unlike ``store``, the level cannot change at
     resume time — the interned store holds quotient keys of the
     original level's group, so the frontier and seen-set would be
     keyed inconsistently under any other group.  An explicit
@@ -191,7 +169,7 @@ def _run_verification(
     ``model`` / ``preemptions`` select the consistency condition and
     the optional context-switch bound (``None`` means: ``"sc"`` /
     unbounded for a fresh search, whatever the checkpoint used for a
-    resumed one).  Like ``reduce`` — and unlike ``workers`` — both are
+    resumed one).  Like ``reduce`` — and unlike ``store`` — both are
     search state, not run policy: the interned joint states embed the
     model's observer/checker components, so an explicit mismatch on
     resume raises :class:`CheckpointError` (exit code 2).
@@ -199,12 +177,12 @@ def _run_verification(
     ``store`` selects the state-store backend (a kind string or a
     :class:`~repro.engine.intern.StoreConfig`; ``None`` means: ``mem``
     for a fresh search, whatever the checkpoint used for a resumed
-    one).  Like ``workers`` — and unlike ``reduce`` — it is run
-    policy, not search state: an explicit ``store`` on resume migrates
-    the interned keys into the requested backend with every ID
-    preserved (:meth:`~repro.engine.intern.StateStore.converted`), so
-    a search checkpointed under ``mem`` can continue spilling to disk
-    and vice versa.
+    one).  Unlike ``reduce`` it is run policy, not search state: an
+    explicit ``store`` on resume migrates the interned keys into the
+    requested backend with every ID preserved
+    (:meth:`~repro.engine.intern.StateStore.converted`), so a search
+    checkpointed under ``mem`` can continue spilling to disk and vice
+    versa.
 
     ``por`` selects the partial-order-reduction level (``None`` means:
     ``"off"`` for a fresh search, whatever the checkpoint used for a
@@ -295,43 +273,14 @@ def _run_verification(
                 f"verification from scratch. (Exit code 2 — usage "
                 f"error; see `repro verify --help`.)"
             )
-        parallel = isinstance(search.engine, ParallelSearchEngine)
         if store is not None:
-            # store backend is run policy, like --workers: an explicit
-            # --store on resume migrates the interned keys into the
-            # requested backend, IDs preserved.  Done before any
-            # reshard so re-sharding builds its fresh stores under the
-            # new config.
+            # store backend is run policy: an explicit --store on
+            # resume migrates the interned keys into the requested
+            # backend, IDs preserved
             cfg = as_config(store)
             search.store_config = cfg
-            if parallel:
-                search.engine.store_config = cfg
-                for payload in search.engine.shards:
-                    if payload.store.config != cfg:
-                        payload.store = payload.store.converted(cfg)
-            elif search.engine.store.config != cfg:
+            if search.engine.store.config != cfg:
                 search.engine.store = search.engine.store.converted(cfg)
-        if workers is not None and workers != search.workers:
-            if not parallel:
-                raise CheckpointError(
-                    f"checkpoint {resume_from!r} holds a sequential "
-                    f"(workers=1, version-2) search; it cannot be resumed "
-                    f"with --workers {workers}. Resume with --workers 1 "
-                    f"(or omit --workers), or restart the verification "
-                    f"from scratch with --workers {workers}."
-                )
-            search.reshard(workers)
-        if parallel:
-            # supervision knobs are run policy: explicit values
-            # override whatever the checkpoint carried
-            if worker_retries is not None:
-                search.engine.worker_retries = worker_retries
-            if on_worker_failure is not None:
-                search.engine.on_worker_failure = on_worker_failure
-            if round_timeout_s is not None:
-                search.engine.round_timeout_s = round_timeout_s
-            if chaos is not None:
-                search.engine.chaos = chaos
     else:
         if protocol is None:
             raise ValueError("a protocol (or resume_from) is required")
@@ -343,17 +292,10 @@ def _run_verification(
             max_depth=max_depth,
             strategy=strategy,
             seed=seed,
-            workers=1 if workers is None else workers,
             reduce="off" if reduce is None else reduce,
             model="sc" if model is None else model,
             preemptions=preemptions,
             por="off" if por is None else por,
-            worker_retries=2 if worker_retries is None else worker_retries,
-            on_worker_failure=(
-                "reshard" if on_worker_failure is None else on_worker_failure
-            ),
-            round_timeout_s=round_timeout_s,
-            chaos=chaos,
             store=store,
         )
         spent = 0.0
@@ -366,7 +308,6 @@ def _run_verification(
             protocol=search.protocol.describe(),
             mode=search.mode,
             strategy=strategy,
-            workers=search.workers,
             reduce=getattr(search, "reduce", "off"),
             model=getattr(search, "model_name", "sc"),
             por=getattr(search, "por", "off"),
@@ -413,16 +354,10 @@ def _run_verification(
         result.complete = False
         result.confidence = f"bounded(preemptions<={search.preemptions})"
     if telemetry is not None:
-        shard_stats = search.shard_stats()
         telemetry.finish_run(
             verdict=result.verdict,
             states=res.stats.states,
             stats=res.stats.as_dict(),
-            shards=(
-                [{"shard": i, **s.as_dict()} for i, s in enumerate(shard_stats)]
-                if shard_stats is not None
-                else []
-            ),
         )
     if telemetry is not None and telemetry.flight is not None:
         # forensic dump triggers that end the run without an exception;
@@ -445,7 +380,6 @@ def _run_verification(
             verdict=result.verdict,
             states=res.stats.states,
             elapsed_s=round(spent, 6),
-            workers=search.workers,
             gauges={
                 "search.states": res.stats.states,
                 "search.transitions": res.stats.transitions,

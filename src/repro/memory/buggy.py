@@ -4,8 +4,7 @@ Each variant flips exactly one of the protocol's correctness knobs and
 is **empirically non-SC**: verification finds a concrete
 counterexample at the variant's default configuration, and the
 catch-rate regression (``tests/test_differential.py``) asserts every
-variant is flagged under every worker count, so the parallel engine's
-catch rate provably matches the sequential engine's.
+variant is flagged under every frontier strategy and store backend.
 
 :class:`BuggyMSIProtocol` — ``AcquireM`` forgets to invalidate other
 processors' valid copies.  The classic coherence bug: two simultaneous

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, List, Optional
 
 from ..core.protocol import Protocol
-from ..engine import ParallelSearchEngine, ProtocolSystem, SearchEngine
+from ..engine import ProtocolSystem, SearchEngine
 from ..obs.stats import ExplorationStats
 
 __all__ = ["explore", "reachable_states", "count_actions"]
@@ -30,7 +30,6 @@ def explore(
     max_depth: Optional[int] = None,
     on_state: Optional[Callable[[Hashable, int], None]] = None,
     should_stop: Optional[Callable[[ExplorationStats], Optional[str]]] = None,
-    workers: int = 1,
     telemetry=None,
 ) -> ExplorationStats:
     """BFS over the protocol's reachable states.
@@ -40,30 +39,7 @@ def explore(
     ``should_stop(stats)`` is polled once per expanded state; returning
     a reason string halts the search cooperatively, marking the result
     truncated with that ``stop_reason`` (budgeted exploration).
-
-    ``workers > 1`` shards the search across worker processes.  The
-    reachable-state count is identical; two caveats follow from states
-    living in worker processes: ``on_state`` is unsupported (raises
-    :class:`ValueError`), and ``max_states`` is enforced at round
-    barriers rather than strictly per state, so a capped count may
-    overshoot the cap by up to one round.
     """
-    if workers > 1:
-        if on_state is not None:
-            raise ValueError(
-                "on_state callbacks are unsupported with workers > 1 "
-                "(states are expanded in worker processes)"
-            )
-        par = ParallelSearchEngine(
-            ProtocolSystem(protocol),
-            workers=workers,
-            max_states=max_states,
-            max_depth=max_depth,
-            track_successors=False,
-            check_quiescence_reachability=False,
-        )
-        par.run(should_stop, telemetry)
-        return par.stats
     engine = SearchEngine(
         ProtocolSystem(protocol),
         max_states=max_states,

@@ -38,7 +38,7 @@ from ..core.checker import Checker
 from ..core.operations import Action
 from ..core.protocol import Protocol
 from ..core.storder import STOrderGenerator
-from ..engine import ComposedSystem, ParallelSearchEngine, SearchEngine
+from ..engine import ComposedSystem, SearchEngine
 from ..engine.intern import as_config
 from ..engine.strategy import StopHook
 from ..obs.stats import ExplorationStats
@@ -124,12 +124,9 @@ class ProductSearch:
     and the only one that yields shortest counterexamples — ``"dfs"``
     or ``"random-walk"``; see :mod:`repro.engine.strategy`).
 
-    ``workers > 1`` runs the same search sharded across that many
-    worker processes (:class:`repro.engine.ParallelSearchEngine`) —
-    verdicts and state counts are identical to the sequential engine
-    (the differential suite enforces it); ``stop_on_violation=False``
-    selects the exhaustive discipline both engines share, where every
-    violating state is recorded and the canonical one reported.
+    ``stop_on_violation=False`` selects the exhaustive discipline,
+    where every violating state is recorded and the canonical one
+    reported.
 
     ``mode`` selects the checking depth:
 
@@ -160,33 +157,25 @@ class ProductSearch:
         unpin_heads: bool = True,
         strategy: str = "bfs",
         seed: int = 0,
-        workers: int = 1,
         stop_on_violation: bool = True,
         reduce: str = "off",
         model: str = "sc",
         preemptions: Optional[int] = None,
         por: str = "off",
-        worker_retries: int = 2,
-        on_worker_failure: str = "reshard",
-        round_timeout_s: Optional[float] = None,
-        chaos=None,
         store=None,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self.protocol = protocol
         self.st_order = st_order
         self.mode = mode
         self.max_states = max_states
         self.max_depth = max_depth
         self.canonical_ids = canonical_ids
-        self.workers = workers
         self.reduce = reduce
         self.por = por
         self.strategy = strategy
         self.stop_on_violation = stop_on_violation
-        # run policy, like workers/supervision: which backend interns
-        # the state keys — never search provenance
+        # run policy: which backend interns the state keys — never
+        # search provenance
         self.store_config = as_config(store)
         self.system = ComposedSystem(
             protocol,
@@ -209,36 +198,18 @@ class ProductSearch:
             # every such state, so it is meaningless under a bound
             check_quiescence_reachability = False
         self.check_quiescence_reachability = check_quiescence_reachability
-        if workers > 1:
-            self.engine = ParallelSearchEngine(
-                self.system,
-                workers=workers,
-                strategy=strategy,
-                seed=seed,
-                max_states=max_states,
-                max_depth=max_depth,
-                stop_on_violation=stop_on_violation,
-                track_successors=True,
-                check_quiescence_reachability=check_quiescence_reachability,
-                worker_retries=worker_retries,
-                on_worker_failure=on_worker_failure,
-                round_timeout_s=round_timeout_s,
-                chaos=chaos,
-                store=self.store_config,
-            )
-        else:
-            self.engine = SearchEngine(
-                self.system,
-                strategy=strategy,
-                seed=seed,
-                max_states=max_states,
-                max_depth=max_depth,
-                strict_cap=False,
-                stop_on_violation=stop_on_violation,
-                track_successors=True,
-                check_quiescence_reachability=check_quiescence_reachability,
-                store=self.store_config,
-            )
+        self.engine = SearchEngine(
+            self.system,
+            strategy=strategy,
+            seed=seed,
+            max_states=max_states,
+            max_depth=max_depth,
+            strict_cap=False,
+            stop_on_violation=stop_on_violation,
+            track_successors=True,
+            check_quiescence_reachability=check_quiescence_reachability,
+            store=self.store_config,
+        )
         self.stats = self.engine.stats
 
     def __setstate__(self, state):
@@ -267,77 +238,31 @@ class ProductSearch:
         changes it)."""
         return self.engine.done
 
-    def shard_stats(self) -> Optional[List[ExplorationStats]]:
-        """Per-shard exploration counters (parallel engine only;
-        ``None`` for a sequential search)."""
-        if isinstance(self.engine, ParallelSearchEngine):
-            return list(self.engine.shard_stats)
-        return None
-
     def _record_reduction(self, telemetry) -> None:
-        """Publish ``reduction.*`` gauges for this run, if reducing.
-
-        Counters are accumulated on the :class:`Reduction` object
-        inside whichever process canonicalizes — under ``workers > 1``
-        the workers' copies are fork()ed and their counters stay in
-        the worker processes, so the gauges cover the reporting
-        process only (see docs/OBSERVABILITY.md)."""
+        """Publish ``reduction.*`` gauges for this run, if reducing."""
         red = self.system.reduction
         if telemetry is not None and red is not None:
             telemetry.record_reduction(red)
 
     def _record_por(self, telemetry) -> None:
-        """Publish ``por.*`` gauges for this run, if reducing.  Same
-        process-locality caveat as :meth:`_record_reduction`: under
-        ``workers > 1`` the selectors' counters accrue in the worker
-        processes, so the coordinator-side gauges cover the reporting
-        process only."""
+        """Publish ``por.*`` gauges for this run, if reducing."""
         sel = getattr(self.system, "por_selector", None)
         if telemetry is not None and sel is not None:
             telemetry.record_por(sel)
 
     def _record_store(self, telemetry) -> None:
-        """Publish ``store.*`` gauges for this run.
+        """Publish ``store.*`` gauges for this run."""
+        if telemetry is not None:
+            telemetry.record_store(self.engine.store.store_stats())
 
-        Sequential searches report the engine's one store; parallel
-        searches aggregate across the coordinator-side shard payloads
-        (backend counters ride the worker→coordinator pickles, so
-        unlike :meth:`_record_reduction` they *do* cover worker
-        activity)."""
-        if telemetry is None:
-            return
-        if isinstance(self.engine, ParallelSearchEngine):
-            per_shard = [p.store.store_stats() for p in self.engine.shards]
-            telemetry.record_store(per_shard, sharded=True)
-        else:
-            telemetry.record_store([self.engine.store.store_stats()])
-
-    def _build_cx(self, ref) -> Counterexample:
-        """``ref`` is a violating-state reference: an interned ID for
-        the sequential engine, a global ``(shard, id)`` pair for the
-        parallel one — both walk parent pointers back to the root."""
-        if isinstance(ref, tuple):
-            actions = self.engine.path_to(ref)
-        else:
-            actions = self.engine.store.path_to(ref)
+    def _build_cx(self, sid: int) -> Counterexample:
+        """Walk the parent pointers of the violating state ``sid`` back
+        to the root and replay the run."""
+        actions = self.engine.store.path_to(sid)
         symbols, reason = _replay(
             self.protocol, self.st_order, actions, getattr(self, "model", None)
         )
         return Counterexample(tuple(actions), symbols, reason)
-
-    def reshard(self, workers: int) -> None:
-        """Re-distribute a paused *parallel* search over a different
-        worker count (checkpoint resumed with a new ``--workers``).
-        Raises :class:`ValueError` for a sequential search — a v2
-        checkpoint cannot be resumed in parallel."""
-        if not isinstance(self.engine, ParallelSearchEngine):
-            raise ValueError(
-                "this search was started with the sequential engine "
-                "(workers=1); it can only be resumed with workers=1"
-            )
-        self.engine = self.engine.reshard(workers)
-        self.workers = workers
-        self.stats = self.engine.stats
 
     def run(
         self, should_stop: Optional[StopHook] = None, telemetry=None
@@ -351,24 +276,25 @@ class ProductSearch:
         set — and the search stays resumable.
 
         ``telemetry`` (a :class:`repro.obs.Telemetry`, optional) is
-        threaded into the engine — heartbeats/round events while
-        searching, a ``violation_found`` trace event and the final
-        search gauges here.  It is *not* stored on the search object,
+        threaded into the engine — heartbeats while searching, a
+        ``violation_found`` trace event and the final search gauges
+        here.  It is *not* stored on the search object,
         so checkpoints never capture telemetry handles.
         """
         with (telemetry.span("phase.search") if telemetry is not None
               else _NULL_CTX):
             out = self.engine.run(should_stop, telemetry)
+        if telemetry is not None:
+            telemetry.record_search(out.stats)
+            self._record_reduction(telemetry)
+            self._record_por(telemetry)
+            self._record_store(telemetry)
         if out.status == "violation":
             assert out.violating is not None
             with (telemetry.span("phase.replay") if telemetry is not None
                   else _NULL_CTX):
                 cx = self._build_cx(out.violating)
             if telemetry is not None:
-                telemetry.record_search(out.stats, self.shard_stats())
-                self._record_reduction(telemetry)
-                self._record_por(telemetry)
-                self._record_store(telemetry)
                 telemetry.emit(
                     "violation_found",
                     states=out.stats.states,
@@ -377,11 +303,6 @@ class ProductSearch:
                     violations=len(out.violations),
                 )
             return ProductResult(False, cx, out.stats)
-        if telemetry is not None:
-            telemetry.record_search(out.stats, self.shard_stats())
-            self._record_reduction(telemetry)
-            self._record_por(telemetry)
-            self._record_store(telemetry)
         if out.status == "stopped":
             return ProductResult(True, None, out.stats)
         return ProductResult(
@@ -402,25 +323,17 @@ def explore_product(
     unpin_heads: bool = True,
     strategy: str = "bfs",
     seed: int = 0,
-    workers: int = 1,
     stop_on_violation: bool = True,
     reduce: str = "off",
     model: str = "sc",
     preemptions: Optional[int] = None,
     por: str = "off",
-    worker_retries: int = 2,
-    on_worker_failure: str = "reshard",
-    round_timeout_s: Optional[float] = None,
-    chaos=None,
     store=None,
     should_stop: Optional[StopHook] = None,
     telemetry=None,
 ) -> ProductResult:
     """Run the verification search in one shot (see
-    :class:`ProductSearch` for the knobs and resumable form).
-    ``workers > 1`` shards the search across that many worker
-    processes (:class:`repro.engine.ParallelSearchEngine`); verdicts
-    and state counts are identical to ``workers=1``.  ``telemetry``
+    :class:`ProductSearch` for the knobs and resumable form).  ``telemetry``
     (a :class:`repro.obs.Telemetry`) turns on traces/metrics/progress
     for this run."""
     search = ProductSearch(
@@ -435,16 +348,11 @@ def explore_product(
         unpin_heads=unpin_heads,
         strategy=strategy,
         seed=seed,
-        workers=workers,
         stop_on_violation=stop_on_violation,
         reduce=reduce,
         model=model,
         preemptions=preemptions,
         por=por,
-        worker_retries=worker_retries,
-        on_worker_failure=on_worker_failure,
-        round_timeout_s=round_timeout_s,
-        chaos=chaos,
         store=store,
     )
     return search.run(should_stop, telemetry)

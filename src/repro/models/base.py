@@ -48,8 +48,7 @@ class ConsistencyModel(abc.ABC):
     """One pluggable consistency condition.
 
     Instances are plain picklable data: they ride inside
-    :class:`~repro.modelcheck.product.ProductSearch` checkpoints and
-    are forked into parallel workers with the composed system.
+    :class:`~repro.modelcheck.product.ProductSearch` checkpoints.
     """
 
     #: registry name (``--model`` value); also the fingerprint's

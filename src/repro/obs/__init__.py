@@ -4,12 +4,10 @@ Observability for the verification pipeline:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: low-overhead
   counters, gauges and monotonic-clock timers/spans, snapshot-able
-  and deterministically mergeable (per-shard registries fold in
-  worker-index order); spans nest into a ``/``-pathed hierarchy
+  and deterministically mergeable; spans nest into a ``/``-pathed hierarchy
   rendered by :func:`format_span_tree`;
 * :mod:`repro.obs.trace` — :class:`TraceWriter`: structured JSONL run
-  traces (run lifecycle, search rounds, shard barriers, degrade
-  steps, checkpoints, fault activations, violations, spans) behind a
+  traces (run lifecycle, heartbeats, degrade steps, checkpoints, fault activations, violations, spans) behind a
   pluggable sink, schema-validated on read;
 * :mod:`repro.obs.progress` — :class:`ProgressReporter`: a live
   states/sec + frontier + budget-burn heartbeat on stderr;
@@ -52,7 +50,7 @@ from .metrics import (
     span_tree_rows,
 )
 from .progress import ProgressReporter
-from .stats import ExplorationStats, merge_shard_stats
+from .stats import ExplorationStats
 from .telemetry import Telemetry
 from .trace import EVENT_SCHEMA, TraceError, TraceWriter, read_trace, validate_trace_line
 
@@ -74,7 +72,6 @@ __all__ = [
     "TraceWriter",
     "content_hash",
     "format_span_tree",
-    "merge_shard_stats",
     "read_trace",
     "search_provenance",
     "span_tree_rows",

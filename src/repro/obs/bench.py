@@ -5,7 +5,7 @@ feed it:
 
 * ``benchmarks/record_verification.py`` — the trajectory recorder:
   :func:`build_record` / :func:`write_record` produce the whole file
-  (baseline, current, parallel, speedups);
+  (baseline, current, speedups and the reduction/POR/store sections);
 * ``repro metrics --record`` — one-off run entries: a run's trace is
   summarised (:func:`summarize_trace`) and appended under ``"runs"``
   by :func:`append_run_entry` in the same normalized shape.
@@ -53,11 +53,9 @@ class RunSummary:
     states: int
     elapsed_s: float
     protocol: Optional[str] = None
-    workers: Optional[int] = None
     reduce: Optional[str] = None  #: symmetry-reduction level of the run
     por: Optional[str] = None  #: partial-order-reduction level of the run
     snapshot: MetricsSnapshot = field(default_factory=MetricsSnapshot)
-    shards: List[dict] = field(default_factory=list)
     stats: Dict[str, object] = field(default_factory=dict)
     events: int = 0
     complete: bool = True  #: False when reconstructed from a partial trace
@@ -73,11 +71,8 @@ class RunSummary:
         return self.states / self.elapsed_s
 
     def format(self) -> str:
-        from ..util import format_table
-
         head = [
             f"run: {self.protocol or '(unknown protocol)'}"
-            + (f"  workers={self.workers}" if self.workers else "")
             + (
                 f"  reduce={self.reduce}"
                 if self.reduce and self.reduce != "off"
@@ -94,31 +89,6 @@ class RunSummary:
             ),
         ]
         parts = ["\n".join(head)]
-        if self.shards:
-            rows = [
-                (
-                    s.get("shard"),
-                    s.get("states"),
-                    s.get("transitions"),
-                    s.get("interned_states"),
-                    s.get("peak_frontier"),
-                )
-                for s in self.shards
-            ]
-            rows.append((
-                "total",
-                sum(s.get("states", 0) for s in self.shards),
-                sum(s.get("transitions", 0) for s in self.shards),
-                sum(s.get("interned_states", 0) for s in self.shards),
-                sum(s.get("peak_frontier", 0) for s in self.shards),
-            ))
-            parts.append(
-                format_table(
-                    ["shard", "states", "transitions", "interned", "peak frontier"],
-                    rows,
-                    title="Per-shard exploration",
-                )
-            )
         snap_text = self.snapshot.format(title="Metrics snapshot")
         if "(empty)" not in snap_text:
             parts.append(snap_text)
@@ -130,7 +100,7 @@ def summarize_trace(events: List[dict]) -> RunSummary:
 
     A complete trace ends with ``run_end`` (and usually ``metrics``);
     a partial one — the run crashed or is still going — is summarised
-    from its last heartbeat/round instead, flagged ``complete=False``.
+    from its last heartbeat instead, flagged ``complete=False``.
     """
     summary = RunSummary(verdict="(no events)", states=0, elapsed_s=0.0, complete=False)
     summary.events = len(events)
@@ -138,10 +108,9 @@ def summarize_trace(events: List[dict]) -> RunSummary:
         kind = ev["ev"]
         if kind == "run_start":
             summary.protocol = ev.get("protocol")
-            summary.workers = ev.get("workers")
             summary.reduce = ev.get("reduce")
             summary.por = ev.get("por")
-        elif kind in ("heartbeat", "round"):
+        elif kind == "heartbeat":
             summary.verdict = "(in progress)"
             summary.states = ev.get("states", summary.states)
             summary.elapsed_s = ev.get("elapsed_s", summary.elapsed_s)
@@ -153,7 +122,6 @@ def summarize_trace(events: List[dict]) -> RunSummary:
             summary.verdict = ev["verdict"]
             summary.states = ev["states"]
             summary.elapsed_s = ev["elapsed_s"]
-            summary.shards = ev.get("shards", [])
             summary.stats = ev.get("stats", {})
             summary.complete = True
     return summary
@@ -198,7 +166,6 @@ def normalized_entry(
     seconds: float,
     states: int,
     *,
-    workers: int = 1,
     reduce: str = "off",
     por: str = "off",
     source: str = "repro-metrics",
@@ -216,7 +183,6 @@ def normalized_entry(
         "seconds": round(seconds, 6),
         "states": states,
         "states_per_sec": round(states / seconds, 3) if seconds > 0 else None,
-        "workers": workers,
         "reduce": reduce,
         "por": por,
         "source": source,
@@ -237,11 +203,9 @@ def append_run_entry(bench_path: Union[str, Path], entry: dict) -> dict:
 def build_record(
     *,
     current: Dict[str, dict],
-    parallel: Dict[str, dict],
     baseline: Dict[str, dict],
     baseline_note: str,
     rounds: int,
-    cpu_count: Optional[int],
     previous: Optional[dict] = None,
     reduction: Optional[Dict[str, dict]] = None,
     por: Optional[Dict[str, dict]] = None,
@@ -250,8 +214,7 @@ def build_record(
     """Assemble the full benchmark record (the trajectory file).
 
     ``current``/``baseline`` map workload name to
-    ``{"seconds", "states"}``; ``parallel`` maps workload name to the
-    per-worker-count timing block; ``reduction`` maps workload name to
+    ``{"seconds", "states"}``; ``reduction`` maps workload name to
     the ``--reduce off`` vs reduced-level comparison, ``por`` to the
     ``--por off`` vs ``--por on`` comparison, and ``store`` to the
     ``--store mem`` vs ``--store disk`` capacity comparison (``None``
@@ -265,17 +228,6 @@ def build_record(
         "policy": "best-of-N wall seconds per workload",
         "baseline": {"note": baseline_note, "workloads": baseline},
         "current": {"workloads": current},
-        "parallel": {
-            "cpu_count": cpu_count,
-            "note": (
-                "sharded engine (--workers N) on the headline workload; "
-                "states are asserted bit-identical to workers=1. Wall-clock "
-                "speedup requires cpu_count cores to shard across — on a "
-                "single-core machine the IPC overhead makes workers>1 "
-                "strictly slower, which this section records honestly."
-            ),
-            "workloads": parallel,
-        },
         "speedup": {},
     }
     if reduction is None and previous:

@@ -8,17 +8,16 @@ ledger holding:
   provenance**: the :data:`PROVENANCE_FIELDS` subset of
   :class:`repro.difftest.SearchFingerprint` (protocol / mode /
   strategy / exhaustive / reduce / model / preemptions / por).
-  Run *policy* — worker count, supervision knobs, chaos — is
-  deliberately excluded: by the engines' determinism contract it
-  cannot change what the search computes, so the same search under
-  different policies hashes identically;
-* ``verdict``, ``states``, ``elapsed_s``, ``workers`` — the outcome
-  and the policy it ran under;
+  Run *policy* — the state-store backend — is deliberately excluded:
+  by the engine's determinism contract it cannot change what the
+  search computes, so the same search under different policies hashes
+  identically;
+* ``verdict``, ``states``, ``elapsed_s`` — the outcome;
 * ``gauges`` — the deterministic search gauges
   (:data:`repro.difftest.DETERMINISTIC_GAUGES` names), which must be
   bit-identical across every run of the same hash;
 * ``snapshot`` — the full metrics snapshot when telemetry carried a
-  registry (timings, per-shard counters; *not* part of the hash);
+  registry (timings; *not* part of the hash);
 * ``trace`` — the ``--trace-log`` path when one was written.
 
 :meth:`RunLedger.lookup` answers "has this exact search already run?"
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 #: the fingerprint fields that identify *what was searched* (hashed),
-#: as opposed to run policy (workers, supervision, chaos — not hashed)
+#: as opposed to run policy (the store backend — not hashed)
 PROVENANCE_FIELDS = (
     "protocol",
     "mode",
@@ -111,7 +110,6 @@ class LedgerEntry:
     provenance: Dict[str, object] = field(default_factory=dict)
     states: int = 0
     elapsed_s: float = 0.0
-    workers: int = 1
     gauges: Dict[str, float] = field(default_factory=dict)
     snapshot: Optional[dict] = None
     trace: Optional[str] = None
@@ -128,7 +126,6 @@ class LedgerEntry:
             "provenance": dict(self.provenance),
             "states": self.states,
             "elapsed_s": self.elapsed_s,
-            "workers": self.workers,
             "gauges": dict(self.gauges),
             "recorded_at": self.recorded_at,
         }
@@ -146,7 +143,6 @@ class LedgerEntry:
             provenance=dict(d.get("provenance", {})),
             states=d.get("states", 0),
             elapsed_s=d.get("elapsed_s", 0.0),
-            workers=d.get("workers", 1),
             gauges=dict(d.get("gauges", {})),
             snapshot=d.get("snapshot"),
             trace=d.get("trace"),
@@ -189,7 +185,6 @@ class RunLedger:
         verdict: str,
         states: int = 0,
         elapsed_s: float = 0.0,
-        workers: int = 1,
         gauges: Optional[Mapping[str, float]] = None,
         snapshot: Optional[dict] = None,
         trace: Optional[str] = None,
@@ -201,7 +196,6 @@ class RunLedger:
             provenance={k: provenance.get(k) for k in PROVENANCE_FIELDS},
             states=states,
             elapsed_s=elapsed_s,
-            workers=workers,
             gauges=dict(sorted((gauges or {}).items())),
             snapshot=snapshot,
             trace=trace,

@@ -1,7 +1,7 @@
 """A low-overhead metrics registry: counters, gauges and timers.
 
 :class:`MetricsRegistry` is the one sink every instrumented layer
-writes into — the engines (aggregate and per-shard search counters),
+writes into — the engine (search counters and per-state timings),
 the harness (phase spans), and the CLI (the ``--profile`` span table).
 Three metric kinds:
 
@@ -22,9 +22,8 @@ whose methods are no-ops.
 A registry is summarised by :meth:`MetricsRegistry.snapshot` into a
 :class:`MetricsSnapshot` — plain dicts, JSON round-trippable, with
 deterministic merge (counters sum, gauges max, timers fold) and a
-field-wise :meth:`~MetricsSnapshot.diff`.  Merging per-shard snapshots
-in worker-index order is what makes the parallel engine's merged
-metrics reproducible across runs (see ``docs/OBSERVABILITY.md``).
+field-wise :meth:`~MetricsSnapshot.diff` (see
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ class MetricsRegistry:
     """Counters, gauges and timers behind one namespace.
 
     Metric names are dotted strings (``search.states``,
-    ``shard0.batch_bytes_out``, ``phase.search``); the registry imposes
+    ``store.spill_bytes``, ``phase.search``); the registry imposes
     no schema — ``docs/OBSERVABILITY.md`` lists the names the pipeline
     emits.
     """
@@ -142,12 +141,6 @@ class MetricsRegistry:
         """Raise gauge ``name`` to ``value`` if larger (high-water)."""
         if value > self.gauges.get(name, float("-inf")):
             self.gauges[name] = value
-
-    def gauge_add(self, name: str, delta: float) -> None:
-        """Add ``delta`` to gauge ``name`` (created at 0) — for gauges
-        aggregated across contributors, e.g. per-shard store stats
-        summed into one ``store.*`` figure."""
-        self.gauges[name] = self.gauges.get(name, 0) + delta
 
     def timer(self, name: str) -> _Span:
         """A context-manager span recording into timer ``name``."""
@@ -203,7 +196,7 @@ class MetricsRegistry:
     def merge_snapshot(self, snap: "MetricsSnapshot", prefix: str = "") -> None:
         """Fold a snapshot in: counters sum, gauges take max, timers
         fold count/total/max.  ``prefix`` namespaces the incoming
-        metrics (e.g. ``"shard0."`` for a worker's registry)."""
+        metrics (e.g. ``"run1."`` when folding several runs together)."""
         for k, v in snap.counters.items():
             self.inc(prefix + k, v)
         for k, v in snap.gauges.items():
@@ -232,9 +225,6 @@ class _NullRegistry(MetricsRegistry):
         pass
 
     def gauge_max(self, name: str, value: float) -> None:
-        pass
-
-    def gauge_add(self, name: str, delta: float) -> None:
         pass
 
     def timer(self, name: str) -> _NullSpan:  # type: ignore[override]

@@ -3,10 +3,9 @@
 :class:`ProgressReporter` renders a one-line status to *stderr* (never
 stdout — verdict output stays machine-diffable) at most once per
 ``interval`` seconds.  It is driven by the same telemetry tick the
-trace heartbeat uses: the sequential engine polls it through the
-cooperative ``should_stop`` chain, the parallel engine at round
-barriers — so enabling ``--progress`` changes what is printed and
-nothing about the search.
+trace heartbeat uses: the engine polls it through the cooperative
+``should_stop`` chain — so enabling ``--progress`` changes what is
+printed and nothing about the search.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ single-file HTML page (no external assets — it attaches to a CI
 artifact or an email as-is):
 
 * a **run report** for one trace (or flight dump): verdict header,
-  the hierarchical span tree, shard balance, reduction/POR
-  effectiveness, and every recovery/forensic event the trace carries;
+  the hierarchical span tree, reduction/POR effectiveness, and every
+  recovery/forensic event the trace carries;
 * **trend tables** across runs: the ledger grouped by search
   provenance hash (is this exact search getting faster? has it ever
   flipped verdict?) and the ``BENCH_verification.json`` trajectory.
@@ -39,8 +39,6 @@ __all__ = [
 
 #: forensic / lifecycle events surfaced verbatim in the run report
 _NOTABLE_EVENTS = (
-    "worker_died",
-    "round_retry",
     "recovered",
     "checkpoint_saved",
     "degrade_stage",
@@ -99,7 +97,6 @@ def run_report_sections(events: List[dict]) -> List[Section]:
             if summary.states_per_sec is not None
             else None,
         ),
-        ("workers", summary.workers),
         ("reduce", summary.reduce),
         ("por", summary.por),
         ("trace events", summary.events),
@@ -115,32 +112,6 @@ def run_report_sections(events: List[dict]) -> List[Section]:
                     "Hierarchical profiler spans: `total` includes children, "
                     "`self` is the span's own time (subtree self times sum "
                     "to the root total)."
-                ),
-            )
-        )
-
-    if summary.shards:
-        total = sum(s.get("states", 0) for s in summary.shards) or 1
-        rows = [
-            (
-                s.get("shard"),
-                s.get("states"),
-                f"{100.0 * s.get('states', 0) / total:.1f}%",
-                s.get("transitions"),
-                s.get("interned_states"),
-                s.get("peak_frontier"),
-            )
-            for s in summary.shards
-        ]
-        sections.append(
-            Section(
-                "Shard balance",
-                headers=["shard", "states", "share", "transitions", "interned", "peak frontier"],
-                rows=rows,
-                prose=(
-                    "Stable-hash sharding: share imbalance is workload "
-                    "structure, not scheduling noise (the split is "
-                    "deterministic per worker count)."
                 ),
             )
         )
@@ -240,8 +211,8 @@ def trend_sections(
                 headers=["hash", "protocol", "mode/strategy/reduce/por", "runs", "verdict", "states", "best", "elapsed trend"],
                 rows=rows,
                 prose=(
-                    "One row per search provenance hash (workers and chaos "
-                    "are run policy — excluded). A MIXED verdict or varying "
+                    "One row per search provenance hash (the store backend "
+                    "is run policy — excluded). A MIXED verdict or varying "
                     "state count inside one hash would mean the engines "
                     "broke their determinism contract."
                 ),
@@ -278,14 +249,13 @@ def trend_sections(
                     r.get("states"),
                     r.get("seconds"),
                     r.get("states_per_sec"),
-                    r.get("workers"),
                 )
                 for r in runs
             ]
             sections.append(
                 Section(
                     "Recorded one-off runs",
-                    headers=["recorded", "workload", "states", "seconds", "states/s", "workers"],
+                    headers=["recorded", "workload", "states", "seconds", "states/s"],
                     rows=rows,
                 )
             )

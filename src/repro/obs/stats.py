@@ -2,9 +2,8 @@
 
 Historically these lived in ``repro.engine.stats`` (and before that in
 ``repro.modelcheck.stats``); both module paths remain as deprecated
-re-export shims so existing imports — and pickled checkpoint payloads
-(format v3 ships one :class:`ExplorationStats` per shard) — keep
-loading.  The dataclass itself now lives with the rest of the
+re-export shims so existing imports — and checkpoints pickled under
+the old module paths — keep loading.  The dataclass itself now lives with the rest of the
 telemetry layer (:mod:`repro.obs`), next to the
 :class:`~repro.obs.metrics.MetricsRegistry` that aggregates it.
 """
@@ -12,9 +11,9 @@ telemetry layer (:mod:`repro.obs`), next to the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-__all__ = ["ExplorationStats", "merge_shard_stats"]
+__all__ = ["ExplorationStats"]
 
 
 @dataclass
@@ -40,22 +39,6 @@ class ExplorationStats:
     #: for cap truncation and for exhaustive runs)
     stop_reason: Optional[str] = None
 
-    def merge_from(self, other: "ExplorationStats") -> None:
-        """Fold another shard's counters into this aggregate (see
-        :func:`merge_shard_stats` for the per-field semantics)."""
-        self.states += other.states
-        self.transitions += other.transitions
-        self.quiescent_states += other.quiescent_states
-        self.interned_states += other.interned_states
-        # the global frontier is the disjoint union of shard frontiers,
-        # so the sum of per-shard peaks upper-bounds (and closely
-        # tracks) the true global high-water mark
-        self.peak_frontier += other.peak_frontier
-        self.max_depth = max(self.max_depth, other.max_depth)
-        self.max_live_nodes = max(self.max_live_nodes, other.max_live_nodes)
-        self.max_descriptor_ids = max(self.max_descriptor_ids, other.max_descriptor_ids)
-        self.truncated = self.truncated or other.truncated
-
     def as_dict(self) -> dict:
         return {
             "states": self.states,
@@ -70,24 +53,3 @@ class ExplorationStats:
             "stop_reason": self.stop_reason,
         }
 
-
-def merge_shard_stats(
-    shards: Sequence[ExplorationStats],
-    stop_reason: Optional[str] = None,
-) -> ExplorationStats:
-    """Aggregate per-shard stats into one global view.
-
-    Extensive counters (states, transitions, quiescent, interned) sum;
-    high-water marks that measure a single object (observer graph
-    size, descriptor IDs, depth) take the max; ``peak_frontier`` sums
-    per-shard peaks, an upper bound on the true global frontier peak
-    (the shard frontiers are disjoint).  ``truncated`` is sticky across
-    shards; ``stop_reason`` is the coordinator's, not any shard's.
-    """
-    agg = ExplorationStats()
-    for s in shards:
-        agg.merge_from(s)
-    agg.stop_reason = stop_reason
-    if stop_reason is not None:
-        agg.truncated = True
-    return agg

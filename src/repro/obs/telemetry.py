@@ -19,7 +19,7 @@ resumed checkpoint attaches a fresh handle.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
 from .flight import FlightRecorder
 from .metrics import MetricsRegistry
@@ -77,7 +77,7 @@ class Telemetry:
         trace or flight sink is attached, emits a ``span`` event with
         the path and duration on exit.  Per-state engine timings never
         come through here — they use the registry directly — so the
-        event stream stays coarse (phases, rounds)."""
+        event stream stays coarse (phases)."""
         return _TelemetrySpan(self, name)
 
     # ------------------------------------------------------------------
@@ -115,7 +115,6 @@ class Telemetry:
         protocol: str,
         mode: str,
         strategy: str = "bfs",
-        workers: int = 1,
         **extra,
     ) -> None:
         """Emit the ``run_start`` trace event (no-op without a trace)."""
@@ -124,14 +123,13 @@ class Telemetry:
             protocol=protocol,
             mode=mode,
             strategy=strategy,
-            workers=workers,
             **extra,
         )
 
     def finish_run(self, *, verdict: str, states: int, **extra) -> None:
         """Emit the closing pair of trace events: a full ``metrics``
         snapshot (when a registry is attached) followed by ``run_end``.
-        Extra keyword fields (``stats``, ``shards``…) ride on
+        Extra keyword fields (``stats``, ``confidence``…) ride on
         ``run_end`` for ``repro metrics`` to summarise."""
         if self.trace is None and self.flight is None:
             return
@@ -146,18 +144,12 @@ class Telemetry:
         )
 
     # ------------------------------------------------------------------
-    def record_search(
-        self,
-        stats: ExplorationStats,
-        shard_stats: Optional[Sequence[ExplorationStats]] = None,
-    ) -> None:
+    def record_search(self, stats: ExplorationStats) -> None:
         """Publish a finished (or paused) search's counters as gauges.
 
-        ``search.*`` gauges hold the aggregate — by the engines'
-        determinism contract they are identical across frontier
-        strategies and worker counts for completed searches (the
-        differential suite compares them).  ``shard<i>.*`` gauges hold
-        the per-shard split, merged in worker-index order.
+        By the engine's determinism contract the ``search.*`` gauges
+        are identical across frontier strategies and store backends
+        for completed searches (the differential suite compares them).
         """
         reg = self.registry
         if reg is None:
@@ -168,12 +160,6 @@ class Telemetry:
         reg.gauge("search.interned", stats.interned_states)
         reg.gauge_max("search.peak_frontier", stats.peak_frontier)
         reg.gauge_max("search.max_depth", stats.max_depth)
-        if shard_stats is not None:
-            for i, s in enumerate(shard_stats):
-                reg.gauge(f"shard{i}.states", s.states)
-                reg.gauge(f"shard{i}.transitions", s.transitions)
-                reg.gauge(f"shard{i}.interned", s.interned_states)
-                reg.gauge_max(f"shard{i}.peak_frontier", s.peak_frontier)
 
     def record_reduction(self, reduction) -> None:
         """Publish a run's symmetry-reduction counters as
@@ -185,9 +171,7 @@ class Telemetry:
         spent in orbit minimization.  These are *not* part of the
         deterministic gauge contract: which representative of an orbit
         is reached first — and therefore how many canonicalizations
-        are hits — depends on search order, and under ``workers > 1``
-        the counters cover the reporting process only (workers
-        accumulate onto fork()ed copies that never travel back).
+        are hits — depends on search order.
         """
         reg = self.registry
         if reg is None:
@@ -207,8 +191,7 @@ class Telemetry:
         set (no proper candidate, proviso failure, or a protocol with
         no POR declaration).  Like the reduction counters these are
         *not* part of the deterministic gauge contract: whether the
-        C3 proviso passes depends on interning order, and under
-        ``workers > 1`` the counters cover the reporting process only.
+        C3 proviso passes depends on interning order.
         """
         reg = self.registry
         if reg is None:
@@ -217,48 +200,30 @@ class Telemetry:
         reg.gauge("por.deferred", selector.counters.deferred)
         reg.gauge("por.fallbacks", selector.counters.fallbacks)
 
-    def record_store(self, stats_list, sharded: bool = False) -> None:
+    def record_store(self, stats) -> None:
         """Publish a run's state-store capacity counters as ``store.*``
-        gauges (see :mod:`repro.engine.intern`).
-
-        ``stats_list`` holds one ``store_stats()`` dict per store —
-        one for a sequential search, one per shard payload for a
-        parallel one (``sharded=True`` also publishes the per-shard
-        ``shard<i>.store.*`` split).  Count-like figures sum across
-        shards; ``index_probe_avg`` is re-derived from the summed raw
-        ``probes``/``lookups`` so the aggregate is lookup-weighted,
-        not an average of averages.
+        gauges (see :mod:`repro.engine.intern`); ``stats`` is the
+        store's ``store_stats()`` dict.
 
         Determinism: ``store.resident_keys``/``spilled_keys`` are
-        deterministic for a fixed run *policy* (backend, budget,
-        worker count) but — unlike the ``search.*`` gauges — change
-        with it, so they are not part of the deterministic gauge
-        contract.  ``store.io_s`` is wall-clock and never comparable.
+        deterministic for a fixed run *policy* (backend, budget) but —
+        unlike the ``search.*`` gauges — change with it, so they are
+        not part of the deterministic gauge contract.  ``store.io_s``
+        is wall-clock and never comparable.
         """
         reg = self.registry
-        if reg is None or not stats_list:
+        if reg is None:
             return
-        resident = spilled = bytes_ = probes = lookups = 0
-        io_s = 0.0
-        for i, st in enumerate(stats_list):
-            resident += st["resident_keys"]
-            spilled += st["spilled_keys"]
-            bytes_ += st["spill_bytes"]
-            probes += st["probes"]
-            lookups += st["lookups"]
-            io_s += st["io_s"]
-            if sharded:
-                reg.gauge(f"shard{i}.store.resident_keys", st["resident_keys"])
-                reg.gauge(f"shard{i}.store.spilled_keys", st["spilled_keys"])
-        reg.gauge("store.resident_keys", resident)
-        reg.gauge("store.spilled_keys", spilled)
-        reg.gauge("store.spill_bytes", bytes_)
+        reg.gauge("store.resident_keys", stats["resident_keys"])
+        reg.gauge("store.spilled_keys", stats["spilled_keys"])
+        reg.gauge("store.spill_bytes", stats["spill_bytes"])
+        lookups = stats["lookups"]
         reg.gauge(
             "store.index_probe_avg",
-            round(probes / lookups, 6) if lookups else 0.0,
+            round(stats["probes"] / lookups, 6) if lookups else 0.0,
         )
-        if io_s:
-            reg.observe_s("phase.search/store", io_s)
+        if stats["io_s"]:
+            reg.observe_s("phase.search/store", stats["io_s"])
 
     def close(self) -> None:
         if self.trace is not None:

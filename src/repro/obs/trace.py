@@ -35,28 +35,21 @@ __all__ = [
 #: event name -> fields every instance must carry (beyond ev/ts/seq)
 EVENT_SCHEMA: Dict[str, FrozenSet[str]] = {
     # run lifecycle (harness / verify entry points)
-    "run_start": frozenset({"protocol", "mode", "strategy", "workers"}),
+    "run_start": frozenset({"protocol", "mode", "strategy"}),
     "run_end": frozenset({"verdict", "states", "elapsed_s"}),
-    # periodic progress (sequential engine: budget-hook ticks;
-    # parallel engine: round barriers)
+    # periodic progress (budget-hook ticks)
     "heartbeat": frozenset({"states", "transitions", "frontier", "elapsed_s"}),
-    # parallel engine round barriers
-    "round": frozenset({"round", "states", "frontier", "in_flight"}),
-    "shard_round": frozenset({"round", "shard", "states", "frontier", "expanded"}),
-    # supervision / crash recovery (docs/ROBUSTNESS.md): a worker
-    # process died or stalled; the failed round is being retried; the
-    # engine (or the checkpoint loader, kind="checkpoint-bak")
-    # recovered and the run is proceeding
-    "worker_died": frozenset({"round", "dead"}),
-    "round_retry": frozenset({"round", "attempt"}),
+    # the checkpoint loader fell back to the rotated ``.bak`` file
+    # (kind="checkpoint-bak") and the run is proceeding
+    # (docs/ROBUSTNESS.md)
     "recovered": frozenset({"kind"}),
     # notable occurrences
     "violation_found": frozenset({"states", "reason"}),
     "checkpoint_saved": frozenset({"path", "states", "elapsed_s"}),
     "degrade_stage": frozenset({"stage"}),
     "fault_activated": frozenset({"protocol", "fault", "expect"}),
-    # a closed hierarchical profiler span (coarse phases and parallel
-    # rounds only — per-state spans never reach the trace)
+    # a closed hierarchical profiler span (coarse phases only —
+    # per-state spans never reach the trace)
     "span": frozenset({"name", "path", "total_s"}),
     # a full metrics snapshot (usually once, at run end)
     "metrics": frozenset({"snapshot"}),

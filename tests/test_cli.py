@@ -203,16 +203,18 @@ def test_fault_matrix_unknown_protocol_is_exit_2(capsys):
     assert code == 2
 
 
-def test_verify_workers_checkpoint_resume_roundtrip(capsys, tmp_path):
-    cp = tmp_path / "par.ckpt"
-    code, out = run_cli(
-        capsys, "verify", "msi", "--b", "1", "--v", "1",
-        "--budget-states", "100", "--checkpoint", str(cp), "--workers", "2",
-    )
-    assert code == 0 and cp.exists()
-    code, out = run_cli(capsys, "verify", "--resume", str(cp), "--workers", "3")
-    assert code == 0
-    assert "SEQUENTIALLY CONSISTENT" in out
+#: flags that belonged to the removed sharded engine
+REMOVED_FLAGS = (
+    "--workers", "--worker-retries", "--on-worker-failure",
+    "--round-timeout-s", "--chaos",
+)
+
+
+def test_verify_workers_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "msi", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_verify_v2_checkpoint_with_workers_is_exit_2(capsys, tmp_path):
@@ -222,9 +224,23 @@ def test_verify_v2_checkpoint_with_workers_is_exit_2(capsys, tmp_path):
         "--budget-states", "100", "--checkpoint", str(cp),
     )
     assert cp.exists()
-    code, out = run_cli(capsys, "verify", "--resume", str(cp), "--workers", "2")
-    assert code == 2
-    assert "version-2" in out and "--workers 1" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--resume", str(cp), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    # the refusal leaves the checkpoint resumable
+    code, out = run_cli(capsys, "verify", "--resume", str(cp))
+    assert code == 0
+    assert "SEQUENTIALLY CONSISTENT" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "fault-matrix"])
+def test_help_lists_no_sharded_engine_flags(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    for flag in REMOVED_FLAGS:
+        assert flag not in out
 
 
 def test_verify_corrupted_checkpoint_is_exit_2(capsys, tmp_path):
@@ -250,27 +266,6 @@ def test_verify_trace_log_and_metrics_summary(capsys, tmp_path):
     assert "SEQUENTIALLY CONSISTENT" in out
     assert "states: 1290" in out
     assert "search.states" in out  # the gauge table
-
-
-def test_verify_parallel_trace_per_shard_sum_equals_total(capsys, tmp_path):
-    trace = tmp_path / "t4.jsonl"
-    code, _ = run_cli(
-        capsys, "verify", "msi", "--v", "1", "--workers", "2",
-        "--trace-log", str(trace),
-    )
-    assert code == 0
-
-    from repro.obs import read_trace
-
-    events = read_trace(str(trace))
-    assert any(e["ev"] == "shard_round" for e in events)
-    end = events[-1]
-    assert end["ev"] == "run_end"
-    assert sum(s["interned_states"] for s in end["shards"]) == end["states"]
-
-    code, out = run_cli(capsys, "metrics", str(trace))
-    assert code == 0
-    assert "Per-shard exploration" in out
 
 
 def test_verify_progress_heartbeat_goes_to_stderr(capsys):

@@ -1,8 +1,8 @@
-"""Differential tests: the parallel engine against the sequential oracle.
+"""Differential tests: every engine configuration against the BFS oracle.
 
-The honesty contract (see :mod:`repro.difftest` and docs/PARALLEL.md):
-sharding a verification across worker processes — or changing the
-frontier strategy — may change wall-clock time and *nothing else*.
+The honesty contract (see :mod:`repro.difftest`): changing the
+frontier strategy or the state-store backend may change wall-clock
+time and *nothing else*.
 Verdicts always agree; state/transition/quiescent counts agree for
 every completed search; exhaustive searches agree on the full
 violation-key set and on the canonically reported violating state; and
@@ -10,9 +10,9 @@ every counterexample, whatever path the engine's parent pointers
 recorded, replays through a fresh observer + checker to a genuine
 rejection.
 
-The fast tier covers the small protocols and the buggy baseline at
-workers ∈ {1, 2}; the ``slow``-marked matrix sweeps the whole zoo ×
-every strategy × workers ∈ {1, 2, 4} (CI runs it on main, not on PRs).
+The fast tier covers the small protocols and the buggy baseline; the
+``slow``-marked matrices sweep the whole zoo × every strategy, store
+backend and POR level (CI runs them on main, not on PRs).
 On divergence, :func:`repro.difftest.assert_equivalent` prints the
 minimized report — only the diverging configurations, only the fields
 on which they diverge.
@@ -46,24 +46,17 @@ def _make(name):
     return ctor(p=p, b=b, v=v), (gen_factory() if gen_factory is not None else None)
 
 
-def _fp(name, *, strategy="bfs", workers=1, exhaustive=True, seed=3,
+def _fp(name, *, strategy="bfs", exhaustive=True, seed=3,
         reduce="off", por="off", store=None):
     proto, gen = _make(name)
     return fingerprint(
-        proto, gen, mode="fast", strategy=strategy, workers=workers,
+        proto, gen, mode="fast", strategy=strategy,
         exhaustive=exhaustive, seed=seed, reduce=reduce, por=por,
         store=store,
     )
 
 
 # ----------------------------------------------------------------- fast tier
-
-
-@pytest.mark.parametrize("name", ["serial", "fenced-sb", "lazy"])
-def test_worker_count_invariance_small(name):
-    base = _fp(name, workers=1)
-    assert base.verdict == "verified"
-    assert_equivalent(base, [_fp(name, workers=2)])
 
 
 @pytest.mark.parametrize("name", ["serial", "lazy", "directory"])
@@ -77,34 +70,26 @@ def test_strategy_invariance_sequential(name):
 @pytest.mark.parametrize(
     "variant", [cls.__name__ for cls, _cfg in BUGGY_VARIANTS]
 )
-@pytest.mark.parametrize("workers", [1, 2])
-def test_buggy_variants_caught_under_every_worker_count(variant, workers):
-    """Catch-rate parity: every buggy variant is flagged non-SC by the
-    parallel engine exactly as by the sequential one, with a
+def test_buggy_variants_caught(variant):
+    """Catch rate: every buggy variant is flagged non-SC, with a
     counterexample that replays to a genuine rejection."""
     cls, cfg = next(
         (c, cfg) for c, cfg in BUGGY_VARIANTS if c.__name__ == variant
     )
-    fp = fingerprint(cls(*cfg), workers=workers, exhaustive=False)
+    fp = fingerprint(cls(*cfg), exhaustive=False)
     assert fp.verdict == "violation"
     assert fp.cx_replays is True
 
 
-def test_storebuffer_caught_in_parallel():
-    base = _fp("storebuffer", workers=1, exhaustive=False)
-    other = _fp("storebuffer", workers=2, exhaustive=False)
-    assert base.verdict == other.verdict == "violation"
-    assert base.cx_replays is True and other.cx_replays is True
-    assert not compare_fingerprints(base, other)
-
-
 @pytest.mark.parametrize("name", ["serial", "lazy"])
 def test_merged_metrics_identical_across_worker_counts(name):
-    """The telemetry contract rides the differential suite: the merged
-    ``search.*`` gauge snapshot is identical across --workers {1, 2, 4}
-    and reports exactly the search the engines agree on."""
-    base = _fp(name, workers=1)
-    others = [_fp(name, workers=w) for w in (2, 4)]
+    """The telemetry contract rides the differential suite: the
+    ``search.*`` gauge snapshot is identical across frontier strategies
+    and reports exactly the search the configurations agree on.  The
+    search runs in one process, so the only worker count left is the
+    sequential one; the strategy axis now carries the comparison."""
+    base = _fp(name)
+    others = [_fp(name, strategy=s) for s in ("dfs", "random-walk")]
     got = dict(base.metrics)
     assert set(got) == set(DETERMINISTIC_GAUGES)
     assert got["search.states"] == base.states
@@ -156,7 +141,7 @@ def test_cross_por_comparison_ignores_counts_but_not_replay():
 
 def _fab(**over):
     defaults = dict(
-        protocol="P", mode="fast", strategy="bfs", workers=1, exhaustive=True,
+        protocol="P", mode="fast", strategy="bfs", exhaustive=True,
         verdict="verified", states=10, transitions=20, quiescent=10,
         non_quiescible=0, violation_keys=frozenset(), canonical_violation=None,
         cx_len=None, cx_replays=None,
@@ -167,18 +152,18 @@ def _fab(**over):
 
 def test_divergence_report_names_only_diverging_fields():
     base = _fab()
-    agree = _fab(workers=2)
-    diverge = _fab(workers=4, states=11)
+    agree = _fab(strategy="dfs")
+    diverge = _fab(strategy="random-walk", states=11)
     report = divergence_report(base, [agree, diverge])
-    assert "workers=4" in report and "states: 10 vs 11" in report
-    assert "workers=2" not in report  # agreeing configs are omitted
+    assert "strategy=random-walk" in report and "states: 10 vs 11" in report
+    assert "strategy=dfs" not in report  # agreeing configs are omitted
     assert "transitions" not in report  # agreeing fields are omitted
 
 
 def test_divergence_report_diffs_violation_key_sets_tersely():
     base = _fab(verdict="violation", violation_keys=frozenset(range(100)),
                 canonical_violation=0, cx_len=4, cx_replays=True)
-    other = _fab(workers=2, verdict="violation",
+    other = _fab(strategy="dfs", verdict="violation",
                  violation_keys=frozenset(range(1, 101)),
                  canonical_violation=1, cx_len=4, cx_replays=True)
     report = divergence_report(base, [other])
@@ -192,11 +177,11 @@ def test_stop_mode_violation_counts_are_not_compared():
     # protocol, and must not fail the differential
     a = _fab(exhaustive=False, verdict="violation", states=50,
              cx_len=6, cx_replays=True)
-    b = _fab(exhaustive=False, workers=2, verdict="violation", states=900,
+    b = _fab(exhaustive=False, strategy="dfs", verdict="violation", states=900,
              cx_len=12, cx_replays=True)
     assert not compare_fingerprints(a, b)
     # ... but a counterexample that fails replay always diverges
-    c = _fab(exhaustive=False, workers=4, verdict="violation", states=50,
+    c = _fab(exhaustive=False, strategy="random-walk", verdict="violation", states=50,
              cx_len=6, cx_replays=False)
     assert compare_fingerprints(a, c) == [("cx_replays", True, False)]
 
@@ -235,38 +220,33 @@ def test_zoo_cross_por_matrix(name):
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_zoo_cross_backend_matrix(name):
-    """Every zoo protocol × store {mem, disk} × workers {1, 2} holds
-    full fingerprint equality — the backend-invariance invariant of
+    """Every zoo protocol × store {mem, disk} holds full fingerprint
+    equality — the backend-invariance invariant of
     docs/ARCHITECTURE.md, with the disk side pinned to a 16-key
     resident cap so every run spills."""
     from repro.engine.intern import StoreConfig
 
     tiny = StoreConfig(kind="disk", cap_keys=16)
     exhaustive = name not in STOP_MODE_ONLY
-    base = _fp(name, workers=1, exhaustive=exhaustive)
-    others = [
-        _fp(name, workers=w, exhaustive=exhaustive, store=s)
-        for w in (1, 2)
-        for s in (None, tiny)
-        if (w, s) != (1, None)
-    ]
-    assert_equivalent(base, others)
+    base = _fp(name, exhaustive=exhaustive)
+    disk = _fp(name, exhaustive=exhaustive, store=tiny)
+    assert_equivalent(base, [disk])
     if name in NON_SC_PROTOCOLS:
-        assert all(fp.cx_replays for fp in others)
+        assert disk.cx_replays
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_zoo_matrix_every_strategy_every_worker_count(name):
-    """Every zoo protocol × {bfs, dfs, random-walk} × workers {1, 2, 4}
-    agrees with the sequential BFS baseline on the full contract."""
+    """Every zoo protocol × {dfs, random-walk} agrees with the BFS
+    baseline on the full contract.  The search runs in one process, so
+    "every worker count" is the sequential one."""
     exhaustive = name not in STOP_MODE_ONLY
-    base = _fp(name, strategy="bfs", workers=1, exhaustive=exhaustive)
+    base = _fp(name, strategy="bfs", exhaustive=exhaustive)
     others = [
-        _fp(name, strategy=s, workers=w, exhaustive=exhaustive)
+        _fp(name, strategy=s, exhaustive=exhaustive)
         for s in STRATEGIES
-        for w in (1, 2, 4)
-        if (s, w) != ("bfs", 1)
+        if s != "bfs"
     ]
     assert_equivalent(base, others)
     if name in NON_SC_PROTOCOLS:

@@ -10,8 +10,6 @@ interned-state counters that survive budget stops).
 import pytest
 
 from repro.core.observer import Observer
-from repro.core.operations import InternalAction, Load, Store
-from repro.core.storder import RealTimeSTOrder
 from repro.engine import (
     BFSFrontier,
     CheckerComponent,
@@ -23,7 +21,6 @@ from repro.engine import (
     RandomWalkFrontier,
     SearchEngine,
     StateStore,
-    STOrderComponent,
     make_frontier,
 )
 from repro.harness import Budget
@@ -132,18 +129,6 @@ def test_observer_component_forks_instead_of_mutating():
     assert obs2 is not obs
     assert obs.state_key() == key_before  # parent untouched
     assert isinstance(symbols, tuple) and symbols  # a LD/ST emits
-
-
-def test_storder_component_steps_stores_and_internals():
-    comp = STOrderComponent(RealTimeSTOrder())
-    gen = comp.initial()
-    st = Store(proc=1, block=1, value=1)
-    gen2, events = comp.step(gen, (7, st))
-    assert [e.handle for e in events] == [7]
-    _, events = comp.step(gen2, InternalAction("noop", ()))
-    assert events == ()
-    with pytest.raises(TypeError):
-        comp.step(gen, (7, Load(proc=1, block=1, value=0)))
 
 
 def test_checker_component_shares_state_on_empty_batch():

@@ -8,11 +8,13 @@ reaches the same verdict as an unbudgeted run, on several protocols.
 import os
 import pickle
 import signal
+import struct
+import zlib
 
 import pytest
 
+from repro.cli import main
 from repro.core.verify import verify_protocol
-from repro.faults import corrupt_file
 from repro.harness import (
     BACKUP_SUFFIX,
     SIGNAL_STOP_PREFIX,
@@ -275,41 +277,24 @@ def test_degrade_starved_still_catches_buggy_protocol():
     assert res.confidence in ("refuted", "litmus", "fuzz")
 
 
-# ------------------------------------------------ parallel checkpoints (v3)
-
-
-def _truncated_parallel_msi(tmp_path, workers=2):
-    path = tmp_path / "par.ckpt"
-    res = run_verification(
-        MSIProtocol(p=2, b=1, v=1),
-        budget=Budget(states=100),
-        checkpoint_path=str(path),
-        workers=workers,
-    )
-    # parallel rounds overshoot the cap slightly; what matters is the pause
-    assert not res.complete and path.exists()
-    return path
-
-
-def test_parallel_checkpoint_is_version_3(tmp_path):
-    cp = Checkpoint.load(str(_truncated_parallel_msi(tmp_path)))
-    assert cp.version == 3
-    assert cp.search.workers == 2
-
-
-def test_v3_checkpoint_resumes_under_any_worker_count(tmp_path):
-    baseline = run_verification(MSIProtocol(p=2, b=1, v=1))
-    path = _truncated_parallel_msi(tmp_path)
-    # None keeps the checkpoint's 2 shards; 3 reshards up; 1 reshards
-    # down to a single shard — all must finish the same proof
-    for workers in (None, 3, 1):
-        res = run_verification(resume_from=str(path), workers=workers)
-        assert res.sequentially_consistent and res.complete
-        assert res.stats.states == baseline.stats.states
-        assert res.stats.transitions == baseline.stats.transitions
-
-
 # ------------------------------------- checkpoint integrity + .bak fallback
+
+
+def corrupt_file(path: str, mode: str = "truncate") -> None:
+    """Damage a file the way real crashes do: ``truncate`` cuts it to
+    half length (a torn write); ``flip`` inverts one byte in the middle
+    (silent media corruption — same length, wrong content, only a
+    checksum can tell)."""
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    if mode == "truncate":
+        data = data[: max(1, len(data) // 2)]
+    elif mode == "flip":
+        data[len(data) // 2] ^= 0xFF
+    else:
+        raise ValueError(f"unknown corruption mode {mode!r}")
+    with open(path, "wb") as fh:
+        fh.write(bytes(data))
 
 
 def _saved_checkpoint(tmp_path, name="msi.ckpt"):
@@ -355,7 +340,7 @@ def test_save_rotates_previous_checkpoint_to_bak(tmp_path):
 def test_corrupt_latest_falls_back_to_bak(tmp_path):
     cp = tmp_path / "run.ckpt"
     run_verification(
-        SerialMemory(p=2, b=2, v=2), budget=Budget(states=50),
+        MSIProtocol(p=2, b=1, v=1), budget=Budget(states=50),
         checkpoint_path=str(cp),
     )
     run_verification(
@@ -436,9 +421,31 @@ def test_v2_checkpoint_refuses_parallel_resume(tmp_path):
     )
     assert not res.complete
     assert Checkpoint.load(str(path)).version == 2
-    with pytest.raises(CheckpointError, match="version-2"):
+    # the search has one engine, so a resume takes no worker count
+    with pytest.raises(TypeError, match="workers"):
         run_verification(resume_from=str(path), workers=2)
-    # the refusal must not consume the checkpoint: a sequential resume
-    # afterwards still completes the proof
-    resumed = run_verification(resume_from=str(path), workers=1)
+    # the refusal must not consume the checkpoint: a resume afterwards
+    # still completes the proof
+    resumed = run_verification(resume_from=str(path))
     assert resumed.complete and resumed.sequentially_consistent
+
+
+def _framed(payload: bytes) -> bytes:
+    """``payload`` wrapped in the checkpoint integrity frame (magic,
+    CRC-32, length), so loading gets past the frame check and reaches
+    the pickle itself."""
+    return b"RPCKPT1\0" + struct.pack("<IQ", zlib.crc32(payload), len(payload)) + payload
+
+
+def test_sharded_engine_checkpoint_is_a_clean_error(tmp_path, capsys):
+    # checkpoints written by the removed sharded engine pickle a class
+    # this build no longer has; the intact frame must not let that
+    # surface as anything but a CheckpointError (exit 2 on the CLI)
+    path = tmp_path / "sharded.ckpt"
+    path.write_bytes(_framed(
+        b"\x80\x04crepro.engine.parallel\nParallelSearchEngine\n)\x81."
+    ))
+    with pytest.raises(CheckpointError, match="repro.engine.parallel"):
+        Checkpoint.load(str(path))
+    assert main(["verify", "--resume", str(path)]) == 2
+    assert "error:" in capsys.readouterr().out

@@ -1,8 +1,8 @@
 """The run ledger: content hashing, append/lookup, gc, CLI, dedup.
 
 The contract under test (docs/OBSERVABILITY.md): the ledger hash
-covers exactly the *search provenance* — what was searched — so worker
-count, supervision and chaos (run policy) never change it, while any
+covers exactly the *search provenance* — what was searched — so run
+policy such as the store backend never changes it, while any
 knob that changes the explored space (strategy, reduce, model, ...)
 does.  Two runs of the same hash must report bit-identical
 deterministic gauges, which is the dedup signal the
@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.engine.intern import StoreConfig
 from repro.harness import run_verification
 from repro.memory import BuggyMSIProtocol, SerialMemory
 from repro.obs.ledger import (
@@ -83,12 +84,12 @@ def test_record_and_lookup_roundtrip(tmp_path):
     led = RunLedger(str(tmp_path / "led.jsonl"))
     assert led.entries() == []
     e = led.record(provenance=PROV, verdict="SC", states=10, elapsed_s=1.5,
-                   workers=2, gauges={"search.states": 10}, trace="t.jsonl")
+                   gauges={"search.states": 10}, trace="t.jsonl")
     assert e.hash == content_hash(PROV)
     got = led.entries()
     assert len(got) == 1 and got[0].hash == e.hash
     assert got[0].gauges == {"search.states": 10}
-    assert got[0].workers == 2 and got[0].trace == "t.jsonl"
+    assert got[0].trace == "t.jsonl"
     # lookup by provenance mapping, full hash, and prefix all agree
     assert len(led.lookup(PROV)) == 1
     assert len(led.lookup(e.hash)) == 1
@@ -115,7 +116,7 @@ def test_fingerprint_provenance_keys_match_ledger_fields():
     from repro.difftest import SearchFingerprint
 
     fp = SearchFingerprint(
-        protocol="p", mode="fast", strategy="bfs", workers=1,
+        protocol="p", mode="fast", strategy="bfs",
         exhaustive=False, verdict="verified", states=1, transitions=1,
         quiescent=1, non_quiescible=0, violation_keys=frozenset(),
         canonical_violation=None, cx_len=None, cx_replays=None,
@@ -183,16 +184,47 @@ def test_run_verification_records_and_reports_dedup(tmp_path):
     assert entries[0].gauges["search.states"] == first.stats.states
 
 
-def test_workers_do_not_change_the_hash_or_gauges(tmp_path):
+def test_store_backend_does_not_change_the_hash_or_gauges(tmp_path):
     led_path = str(tmp_path / "led.jsonl")
-    seq = run_verification(SerialMemory(p=2, b=1, v=1), ledger=led_path)
-    par = run_verification(
-        SerialMemory(p=2, b=1, v=1), workers=2, ledger=led_path
+    mem = run_verification(SerialMemory(p=2, b=1, v=1), ledger=led_path)
+    disk = run_verification(
+        SerialMemory(p=2, b=1, v=1), ledger=led_path,
+        store=StoreConfig(kind="disk", cap_keys=16, dir=str(tmp_path)),
     )
-    assert seq.ledger_hash == par.ledger_hash
+    assert mem.ledger_hash == disk.ledger_hash
     a, b = RunLedger(led_path).entries()
-    assert (a.workers, b.workers) == (1, 2)
     assert a.gauges == b.gauges
+
+
+def test_workers_do_not_change_the_hash_or_gauges(tmp_path):
+    # entries recorded while the sharded engine existed carry the worker
+    # count; it was run policy, so such an entry keeps the hash and the
+    # gauges of a fresh run of the same search
+    led_path = tmp_path / "led.jsonl"
+    first = run_verification(SerialMemory(p=2, b=1, v=1), ledger=str(led_path))
+    (line,) = led_path.read_text().splitlines()
+    with open(led_path, "a") as fh:
+        fh.write(json.dumps(dict(json.loads(line), workers=2)) + "\n")
+    again = run_verification(SerialMemory(p=2, b=1, v=1), ledger=str(led_path))
+    assert first.ledger_hash == again.ledger_hash
+    a, b, c = RunLedger(str(led_path)).entries()
+    assert a.hash == b.hash == c.hash == first.ledger_hash
+    assert a.gauges == b.gauges == c.gauges
+
+
+def test_cli_runs_reads_entries_that_carry_a_workers_field(tmp_path, capsys):
+    # ledgers written before the sharded engine was removed recorded the
+    # worker count on every entry; they must still list
+    path = tmp_path / "old.jsonl"
+    old = {
+        "hash": content_hash(PROV), "verdict": "SC", "provenance": PROV,
+        "states": 10, "elapsed_s": 1.5, "workers": 1,
+        "gauges": {"search.states": 10}, "recorded_at": 0.0,
+    }
+    path.write_text(json.dumps(old) + "\n")
+    code, out = run_cli(capsys, "runs", "--ledger", str(path))
+    assert code == 0
+    assert content_hash(PROV)[:12] in out and "1 run(s)" in out
 
 
 def test_violation_runs_are_recorded(tmp_path):

@@ -115,10 +115,10 @@ def test_sc_implies_causal_across_zoo(name):
     assert_model_lattice(sc, causal)
 
 
-def test_causal_fingerprint_is_worker_independent():
+def test_causal_fingerprint_is_strategy_independent():
     base = fingerprint(MSIProtocol(p=2, b=1, v=2), model="causal")
-    par = fingerprint(MSIProtocol(p=2, b=1, v=2), model="causal", workers=2)
-    assert_equivalent(base, [par])
+    dfs = fingerprint(MSIProtocol(p=2, b=1, v=2), model="causal", strategy="dfs")
+    assert_equivalent(base, [dfs])
 
 
 def test_storebuffer_separates_sc_from_causal():

@@ -5,8 +5,7 @@ The two contracts under test here (docs/OBSERVABILITY.md):
 * **zero-cost-off** — with no telemetry attached, runs behave exactly
   as before (same verdicts, same counts), and the deprecated stats
   import paths keep working (including unpickling);
-* **determinism** — telemetry never perturbs a verdict, and the merged
-  per-shard metrics are identical run to run and across worker counts.
+* **determinism** — telemetry never perturbs a verdict or a count.
 """
 
 import io
@@ -14,7 +13,7 @@ import pickle
 
 import pytest
 
-from repro.memory import MSIProtocol, SerialMemory
+from repro.memory import MSIProtocol
 from repro.modelcheck.product import explore_product
 from repro.obs import (
     MetricsRegistry,
@@ -190,27 +189,13 @@ def test_telemetry_finish_run_emits_metrics_then_run_end():
     assert events[1]["verdict"] == "VERIFIED"
 
 
-def test_record_search_publishes_shard_gauges_in_index_order():
-    t = Telemetry(registry=MetricsRegistry())
-    agg = ExplorationStats(states=10, transitions=20, interned_states=10)
-    shards = [ExplorationStats(states=4, interned_states=4),
-              ExplorationStats(states=6, interned_states=6)]
-    t.record_search(agg, shards)
-    g = t.registry.snapshot().gauges
-    assert g["search.states"] == 10
-    assert g["shard0.states"] == 4 and g["shard1.states"] == 6
-    assert g["shard0.states"] + g["shard1.states"] == g["search.interned"]
-
-
 # ------------------------------------------- determinism: tracing on vs off
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_tracing_does_not_change_the_verdict_or_counts(workers):
+def test_tracing_does_not_change_the_verdict_or_counts():
     def run(telemetry):
         return explore_product(
-            MSIProtocol(p=2, b=1, v=1), mode="fast", workers=workers,
-            telemetry=telemetry,
+            MSIProtocol(p=2, b=1, v=1), mode="fast", telemetry=telemetry,
         )
 
     plain = run(None)
@@ -221,21 +206,8 @@ def test_tracing_does_not_change_the_verdict_or_counts(workers):
     assert traced.stats.states == plain.stats.states
     assert traced.stats.transitions == plain.stats.transitions
     assert traced.stats.quiescent_states == plain.stats.quiescent_states
-    # the search always lands in the registry; round-barrier trace
-    # events additionally appear whenever the run is sharded
+    # the search always lands in the registry
     assert t.registry.snapshot().gauges["search.states"] == plain.stats.states
-    if workers > 1:
-        assert any(e["ev"] == "shard_round" for e in events)
-
-
-def test_parallel_merged_metrics_sum_to_total():
-    t = Telemetry(registry=MetricsRegistry())
-    res = explore_product(
-        SerialMemory(p=2, b=1, v=2), mode="fast", workers=2, telemetry=t
-    )
-    g = t.registry.snapshot().gauges
-    assert g["shard0.states"] + g["shard1.states"] == res.stats.states
-    assert g["search.interned"] == res.stats.interned_states
 
 
 # --------------------------------------------------- deprecated stat shims
@@ -280,9 +252,9 @@ def test_stats_shims_warn_exactly_once_per_import():
 
 
 def test_stats_pickled_under_old_module_paths_load():
-    # checkpoint v3 payloads pickle ExplorationStats under
-    # repro.engine.stats; unpickling resolves that module path via the
-    # shim, so old checkpoints keep loading after the move
+    # old checkpoints pickled ExplorationStats under repro.engine.stats;
+    # unpickling resolves that module path via the shim, so they keep
+    # loading after the move
     s = ExplorationStats(states=3, transitions=9)
     blob = pickle.dumps(s)
     assert b"repro.obs.stats" in blob  # the canonical home

@@ -27,7 +27,7 @@ The teeth, in order of sharpness:
   through a fresh observer + checker.
 * **seeded sweeps** — DSL protocols (no ``por_spec``: the degradation
   path must be the *exact* unreduced search) and reduction-bearing
-  protocols across {bfs, dfs} × workers {1, 2} × reduce {off, full},
+  protocols across {bfs, dfs} × reduce {off, full},
   holding the :data:`repro.difftest.CROSS_POR_FIELDS` contract.
 """
 
@@ -227,13 +227,12 @@ def test_b1_snoopy_por_is_bit_identical(proto):
 @pytest.mark.parametrize(
     "variant", [cls.__name__ for cls, _cfg in BUGGY_VARIANTS]
 )
-@pytest.mark.parametrize("workers", [1, 2])
-def test_buggy_zoo_still_refuted_under_por(variant, workers):
+def test_buggy_zoo_still_refuted_under_por(variant):
     cls, cfg = next(
         (c, cfg) for c, cfg in BUGGY_VARIANTS if c.__name__ == variant
     )
     fp = fingerprint(
-        cls(*cfg), mode="fast", por="on", workers=workers, exhaustive=False
+        cls(*cfg), mode="fast", por="on", exhaustive=False
     )
     assert fp.verdict == "violation"
     assert fp.cx_replays is True
@@ -282,16 +281,15 @@ def test_seeded_dsl_protocols_por_degrades_to_identity(rng, strategy):
 
 
 @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_lazy_por_verdict_parity_across_configs(strategy, workers):
+def test_lazy_por_verdict_parity_across_configs(strategy):
     proto = LazyCachingProtocol(p=2, b=1, v=1)
     off = fingerprint(
         proto, lazy_caching_st_order(), mode="fast",
-        strategy=strategy, workers=workers, por="off",
+        strategy=strategy, por="off",
     )
     on = fingerprint(
         proto, lazy_caching_st_order(), mode="fast",
-        strategy=strategy, workers=workers, por="on",
+        strategy=strategy, por="on",
     )
     assert off.verdict == on.verdict == "verified"
     assert on.states <= off.states

@@ -21,8 +21,7 @@ attacking one of the two load-bearing soundness pillars:
 Both patches go through the module attributes the engine itself uses —
 ``repro.engine.por.dependent`` is looked up late when a selector is
 built, and the search loop calls ``_por.proviso(...)`` through the
-module — so the mutants reach every selector and every expansion, in
-workers too (forked children inherit the patched module).
+module — so the mutants reach every selector and every expansion.
 """
 
 from __future__ import annotations

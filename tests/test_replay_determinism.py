@@ -1,4 +1,4 @@
-"""Counterexample replay determinism and sharding invariants.
+"""Counterexample replay determinism and interning invariants.
 
 A budget-interrupted search that is later resumed must reach exactly
 the same verdict as the uninterrupted run — same state count, same
@@ -12,13 +12,11 @@ both verdict polarities:
   generator captures a closure and so cannot be pickled, which is
   itself asserted by ``test_harness``.
 
-The second half fuzzes the *sharded* engine on seeded random-DAG
-workloads (:class:`SeededDagSystem`): across seeds and worker counts,
-every canonical key is interned exactly once globally and on the
-shard :func:`~repro.engine.sharding.shard_of` assigns it to; the
-interned set equals the independently computed reachable closure; and
-every cross-shard counterexample path replays edge-by-edge to its
-violating state.
+The second half fuzzes the search engine on seeded random-DAG
+workloads (:class:`SeededDagSystem`): across seeds, every canonical
+key is interned exactly once; the interned set equals the
+independently computed reachable closure; and every counterexample
+path replays edge-by-edge to its violating state.
 
 The final section fuzzes the symmetry-reduction layer
 (:mod:`repro.engine.reduction`): composed canonical keys are invariant
@@ -33,9 +31,9 @@ import random
 import pytest
 
 from repro.core.operations import InternalAction, Operation
-from repro.engine import ParallelSearchEngine, SearchEngine
+from repro.engine import SearchEngine
 from repro.engine.component import ComposedSystem, Step, System
-from repro.engine.sharding import shard_of, stable_hash
+from repro.engine.sharding import stable_hash
 from repro.harness import Budget, CheckpointError, run_verification
 from repro.memory import (
     BuggyMSIProtocol,
@@ -148,15 +146,14 @@ def test_tso_replay_is_deterministic_across_fresh_searches(tso_baseline):
     assert again.stats.states == tso_baseline.stats.states
 
 
-# --------------------------------------------- sharding invariants (fuzz)
+# -------------------------------------------- interning invariants (fuzz)
 
 
 class SeededDagSystem(System):
     """A seeded random DAG over integer nodes: node 0 is the root,
     every node is reachable (each gets a parent among the smaller
     ones), a ``bad_fraction`` of the non-root nodes is marked
-    violating (``ok=False``).  Module-level so worker processes can
-    unpickle it."""
+    violating (``ok=False``)."""
 
     def __init__(self, n=40, extra_edges=2.0, bad_fraction=0.15, seed=0):
         rng = random.Random(seed)
@@ -180,7 +177,7 @@ class SeededDagSystem(System):
             yield Step(("edge", node, t), t, ("dag", t), t not in self.bad)
 
     def reachable_closure(self):
-        """Nodes the engines must intern: closure from 0 expanding
+        """Nodes the engine must intern: closure from 0 expanding
         only non-violating nodes (violations are recorded, never
         expanded)."""
         seen, todo = {0}, [0]
@@ -195,14 +192,12 @@ class SeededDagSystem(System):
         return seen
 
 
-def _parallel_engine(system, workers, **kw):
-    return ParallelSearchEngine(
+def _exhaustive_engine(system):
+    return SearchEngine(
         system,
-        workers=workers,
         stop_on_violation=False,
         track_successors=True,
         check_quiescence_reachability=False,
-        **kw,
     )
 
 
@@ -210,32 +205,22 @@ DAG_SEEDS = [1, 7, 23, 91, 404]
 
 
 @pytest.mark.parametrize("seed", DAG_SEEDS)
-@pytest.mark.parametrize("workers", [2, 3])
-def test_sharded_interning_is_globally_unique_and_complete(seed, workers):
+def test_interning_is_unique_and_complete(seed):
     system = SeededDagSystem(seed=seed)
-    engine = _parallel_engine(system, workers)
+    engine = _exhaustive_engine(system)
     engine.run()
 
-    seen = {}
-    for shard in engine.shards:
-        for lid in range(len(shard.store)):
-            key = shard.store.key_of(lid)
-            assert key not in seen, (
-                f"{key} interned on shards {seen[key]} and {shard.index}"
-            )
-            seen[key] = shard.index
-            assert shard.index == shard_of(key, workers)
-
+    keys = [engine.store.key_of(sid) for sid in range(len(engine.store))]
+    assert len(set(keys)) == len(keys)
     expected = {("dag", n) for n in system.reachable_closure()}
-    assert set(seen) == expected
+    assert set(keys) == expected
     assert engine.stats.states == len(expected)
 
 
 @pytest.mark.parametrize("seed", DAG_SEEDS)
-@pytest.mark.parametrize("workers", [2, 3])
-def test_cross_shard_paths_replay_to_each_violation(seed, workers):
+def test_paths_replay_to_each_violation(seed):
     system = SeededDagSystem(seed=seed)
-    engine = _parallel_engine(system, workers)
+    engine = _exhaustive_engine(system)
     out = engine.run()
 
     expected_bad = {
@@ -247,58 +232,15 @@ def test_cross_shard_paths_replay_to_each_violation(seed, workers):
         return
 
     assert out.status == "violation"
-    for shard, lid in out.violations:
+    for sid in out.violations:
         node = 0
-        for action in engine.path_to((shard, lid)):
+        for action in engine.store.path_to(sid):
             tag, src, dst = action
             assert tag == "edge" and src == node
             assert dst in system.succs[src], "replayed a non-edge"
             node = dst
-        assert ("dag", node) == engine.shards[shard].store.key_of(lid)
+        assert ("dag", node) == engine.store.key_of(sid)
         assert node in system.bad
-
-
-@pytest.mark.parametrize("seed", DAG_SEEDS)
-def test_sharded_outcome_matches_sequential_oracle(seed):
-    system = SeededDagSystem(seed=seed)
-    seq = SearchEngine(
-        system,
-        stop_on_violation=False,
-        track_successors=True,
-        check_quiescence_reachability=False,
-    )
-    seq_out = seq.run()
-    par = _parallel_engine(system, 3)
-    par_out = par.run()
-
-    assert par_out.status == seq_out.status
-    assert par.stats.states == seq.stats.states
-    assert par.stats.transitions == seq.stats.transitions
-    assert par.violation_keys() == seq.violation_keys()
-    if seq_out.status == "violation":
-        # the canonically reported violating *key* is engine-independent
-        seq_key = seq.store.key_of(seq_out.violating)
-        shard, lid = par_out.violating
-        assert par.shards[shard].store.key_of(lid) == seq_key
-
-
-def test_reshard_mid_search_preserves_the_outcome():
-    system = SeededDagSystem(n=120, seed=5)
-    baseline = _parallel_engine(system, 2)
-    base_out = baseline.run()
-
-    engine = _parallel_engine(system, 2, round_quota=4)
-    stopped = engine.run(lambda stats: "pause" if stats.states >= 10 else None)
-    assert stopped.status == "stopped"
-    engine = engine.reshard(3)
-    final = engine.run()
-
-    assert final.status == base_out.status
-    assert engine.stats.states == baseline.stats.states
-    assert engine.violation_keys() == baseline.violation_keys()
-    for shard in engine.shards:
-        for lid in range(len(shard.store)):
-            assert shard.index == shard_of(shard.store.key_of(lid), 3)
 
 
 # ------------------------------------- symmetry reduction (property fuzz)
@@ -390,15 +332,14 @@ def test_composed_key_invariant_under_symmetry_group(make_proto, make_gen, mode,
 
 
 @pytest.mark.parametrize("reduce", ["proc", "proc+block", "full"])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_reduced_counterexample_replays_concretely(reduce, workers):
+def test_reduced_counterexample_replays_concretely(reduce):
     """Counterexamples under any reduction level are concrete runs: a
     fresh observer + checker replay (check_run) genuinely rejects them
     — no permutation ever needs un-doing."""
     from repro.core.verify import check_run, verify_protocol
 
     proto = BuggyMSIProtocol(p=2, b=1, v=2)
-    res = verify_protocol(proto, None, mode="fast", workers=workers, reduce=reduce)
+    res = verify_protocol(proto, None, mode="fast", reduce=reduce)
     assert res.counterexample is not None
     assert not check_run(proto, res.counterexample.run, None).ok
 
@@ -598,9 +539,10 @@ def test_content_maps_are_shared_across_slots():
 
 
 def test_stable_hash_golden_values_guard_run_independence():
-    """Sharding is only deterministic across processes and runs if
-    stable_hash is; these frozen values catch any accidental use of
-    salted hashing or layout-dependent folding."""
+    """The disk store's on-disk index and the exhaustive canonical
+    violation order survive fresh interpreters only if stable_hash does;
+    these frozen values catch any accidental use of salted hashing or
+    layout-dependent folding."""
     assert stable_hash(0) == 844506019972948872
     assert stable_hash(-1) == 873677162369289390
     assert stable_hash("x") == 12111270874281193883

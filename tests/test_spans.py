@@ -4,13 +4,12 @@ Contracts (docs/OBSERVABILITY.md): spans nest into ``/``-joined timer
 paths; ``self`` time telescopes exactly (a subtree's self times sum to
 its root's total — the acceptance bound is 1%, the construction gives
 float-epsilon); engine instrumentation shows up under the enclosing
-phase span sequentially and under deterministic ``shard{i}.`` prefixes
-in parallel; and none of it perturbs verdicts or state counts.
+phase span; and none of it perturbs verdicts or state counts.
 """
 
 import pytest
 
-from repro.memory import MSIProtocol, SerialMemory
+from repro.memory import MSIProtocol
 from repro.modelcheck.product import explore_product
 from repro.obs import (
     MetricsRegistry,
@@ -182,33 +181,11 @@ def test_reduction_run_nests_canonicalize_under_expand():
     assert canon["total_s"] <= expand["total_s"]  # nested, telescoping
 
 
-def test_parallel_run_merges_shard_span_trees():
-    t = Telemetry(registry=MetricsRegistry())
-    plain = explore_product(SerialMemory(p=2, b=1, v=2), mode="fast")
-    res = explore_product(
-        SerialMemory(p=2, b=1, v=2), mode="fast", workers=2, telemetry=t
-    )
-    # spans never perturb the verdict or the counts
-    assert res.ok == plain.ok and res.stats.states == plain.stats.states
-    timers = t.registry.snapshot().timers
-    assert "phase.search/round" in timers
-    for i in (0, 1):
-        assert f"shard{i}.round" in timers
-        assert f"shard{i}.round/expand" in timers
-        assert f"shard{i}.round/ingest" in timers
-    # the driver saw every round each worker worked
-    assert (timers["phase.search/round"]["count"]
-            == timers["shard0.round"]["count"])
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_profiling_does_not_change_fingerprinted_counts(workers):
-    plain = explore_product(
-        MSIProtocol(p=2, b=1, v=1), mode="fast", workers=workers
-    )
+def test_profiling_does_not_change_fingerprinted_counts():
+    plain = explore_product(MSIProtocol(p=2, b=1, v=1), mode="fast")
     t = Telemetry(registry=MetricsRegistry(), trace=TraceWriter([]))
     spanned = explore_product(
-        MSIProtocol(p=2, b=1, v=1), mode="fast", workers=workers, telemetry=t
+        MSIProtocol(p=2, b=1, v=1), mode="fast", telemetry=t
     )
     assert (plain.ok, plain.stats.states, plain.stats.transitions,
             plain.stats.quiescent_states) == (

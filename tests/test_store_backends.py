@@ -1,8 +1,8 @@
 """Pluggable state-store backends (``--store {mem,disk}``).
 
 The contract under test is **backend invariance**
-(docs/ARCHITECTURE.md): the store backend is run policy, like the
-worker count — verdicts, state counts, counterexamples and
+(docs/ARCHITECTURE.md): the store backend is run policy — verdicts,
+state counts, counterexamples and
 ``SearchFingerprint``s are bit-identical between the all-in-RAM
 ``mem`` backend and the spill-to-disk ``disk`` backend at any
 resident budget, down to a 16-key cap that forces constant
@@ -15,6 +15,8 @@ a missing, torn or CRC-damaged spill file must surface as a clean
 import glob
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +24,6 @@ from repro.cli import PROTOCOLS, main
 from repro.difftest import assert_equivalent, fingerprint
 from repro.engine.intern import (
     MemBackend,
-    ShardStore,
     StateStore,
     StoreConfig,
     StoreError,
@@ -48,10 +49,10 @@ def _make(name):
     )
 
 
-def _fp(name, *, workers=1, store=None, strategy="bfs", reduce="off"):
+def _fp(name, *, store=None, strategy="bfs", reduce="off"):
     proto, gen = _make(name)
     return fingerprint(
-        proto, gen, mode="fast", seed=3, workers=workers, store=store,
+        proto, gen, mode="fast", seed=3, store=store,
         strategy=strategy, reduce=reduce,
     )
 
@@ -121,20 +122,6 @@ def test_store_facade_converted_round_trip(tmp_path):
     assert disk.backend_kind == "disk" and back.backend_kind == "mem"
 
 
-def test_shard_store_api_parity(tmp_path):
-    """ShardStore grows the same id_of/depth_of face as StateStore, on
-    both backends."""
-    for cfg in (None, StoreConfig(kind="disk", cap_keys=4,
-                                  dir=str(tmp_path))):
-        s = ShardStore(cfg)
-        a, _ = s.intern(("a",))
-        b, _ = s.intern(("b",))
-        s.set_parent(b, 0, a, "w", depth=3)
-        assert s.id_of(("b",)) == b and s.id_of(("zzz",)) is None
-        assert s.depth_of(b) == 3
-        assert s.lookup_many([("a",), ("c",)]) == [a, None]
-
-
 def test_as_config_rejects_unknown_kind():
     with pytest.raises(StoreError):
         as_config("papyrus")
@@ -145,20 +132,19 @@ def test_as_config_rejects_unknown_kind():
 
 
 @pytest.mark.parametrize("name", ["serial", "lazy", "fenced-sb"])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_cross_backend_fingerprints_fast(name, workers):
-    """mem × disk × workers {1, 2}: bit-identical fingerprints, with
-    the disk side pinned to the 16-key thrash cap."""
-    base = _fp(name, workers=workers)
-    assert_equivalent(base, [_fp(name, workers=workers, store=TINY)])
+def test_cross_backend_fingerprints_fast(name):
+    """mem × disk: bit-identical fingerprints, with the disk side
+    pinned to the 16-key thrash cap."""
+    base = _fp(name)
+    assert_equivalent(base, [_fp(name, store=TINY)])
 
 
 def test_cross_backend_violation_protocol():
     """A violating search agrees across backends too — same canonical
     violation, same replayable counterexample."""
-    base = _fp("buggy-msi", workers=1)
+    base = _fp("buggy-msi")
     assert base.verdict == "violation"
-    assert_equivalent(base, [_fp("buggy-msi", workers=1, store=TINY)])
+    assert_equivalent(base, [_fp("buggy-msi", store=TINY)])
 
 
 def test_cross_backend_with_reduction():
@@ -240,6 +226,41 @@ def test_crc_damaged_spill_file_is_checkpoint_error(tmp_path, capsys):
     code = main(["verify", "--resume", cp])
     assert code == 2
     assert "error:" in capsys.readouterr().out
+
+
+def _cli(tmp_path, *argv):
+    """Run the CLI in a fresh interpreter whose temp dir is
+    ``tmp_path``, so the spill directories it leaves are observable."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def _spill_dirs(tmp_path):
+    return glob.glob(str(tmp_path / "repro-store-*"))
+
+
+def test_disk_store_removes_its_spill_dir(tmp_path):
+    proc = _cli(tmp_path, "verify", "msi", "--v", "1", "--store", "disk")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert _spill_dirs(tmp_path) == []
+
+
+def test_checkpointed_spill_dir_survives_for_resume(tmp_path):
+    cp = str(tmp_path / "run.ckpt")
+    proc = _cli(
+        tmp_path, "verify", "msi", "--v", "1", "--store", "disk",
+        "--budget-states", "100", "--checkpoint", cp,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(_spill_dirs(tmp_path)) == 1  # the checkpoint references it
+    resumed = _cli(tmp_path, "verify", "--resume", cp)
+    fresh = _cli(tmp_path, "verify", "msi", "--v", "1")
+    assert resumed.returncode == fresh.returncode == 0
+    assert resumed.stdout.splitlines()[0] == fresh.stdout.splitlines()[0]
 
 
 def test_missing_spill_file_is_checkpoint_error(tmp_path):

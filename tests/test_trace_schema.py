@@ -8,6 +8,7 @@ metrics`` summarises it as a partial run instead of failing.
 """
 
 import json
+import os
 
 import pytest
 
@@ -25,14 +26,13 @@ from repro.obs import (
 from repro.obs.trace import COMMON_FIELDS
 
 
-def _traced_run(path, *, workers=1, protocol=None, **kw):
+def _traced_run(path, *, protocol=None, **kw):
     telemetry = Telemetry(
         registry=MetricsRegistry(), trace=TraceWriter.open(str(path))
     )
     try:
         result = run_verification(
             protocol or MSIProtocol(p=2, b=1, v=1),
-            workers=workers,
             telemetry=telemetry,
             **kw,
         )
@@ -55,22 +55,6 @@ def test_sequential_trace_is_schema_valid(tmp_path):
     for e in events:
         assert COMMON_FIELDS <= e.keys()
         assert EVENT_SCHEMA[e["ev"]] <= e.keys()
-
-
-def test_parallel_trace_has_per_shard_round_events(tmp_path):
-    path = tmp_path / "t.jsonl"
-    result = _traced_run(path, workers=2)
-    events = read_trace(str(path))
-    rounds = [e for e in events if e["ev"] == "round"]
-    shard_rounds = [e for e in events if e["ev"] == "shard_round"]
-    assert rounds and shard_rounds
-    assert {e["shard"] for e in shard_rounds} == {0, 1}
-    # the final run_end carries the per-shard split, and it sums to
-    # the total interned-state count (the acceptance check)
-    end = events[-1]
-    assert end["ev"] == "run_end"
-    total = sum(s["interned_states"] for s in end["shards"])
-    assert total == result.stats.interned_states == end["states"]
 
 
 def test_seq_is_strictly_increasing(tmp_path):
@@ -106,25 +90,33 @@ def test_violation_and_checkpoint_events(tmp_path):
 
 
 def test_recovery_events_are_schema_valid(tmp_path):
-    # a chaos-killed worker produces the full supervision event trio
-    # (docs/ROBUSTNESS.md), and the trace still validates end to end
-    from repro.faults import parse_chaos
-
-    path = tmp_path / "chaos.jsonl"
-    _traced_run(path, workers=2, chaos=parse_chaos("kill-worker@2:1"))
+    # resuming from a damaged checkpoint falls back to the rotated .bak
+    # and says so with a `recovered` event (docs/ROBUSTNESS.md); the
+    # trace still validates end to end
+    cp = str(tmp_path / "run.ckpt")
+    run_verification(
+        MSIProtocol(p=2, b=1, v=1), budget=Budget(states=50), checkpoint_path=cp
+    )
+    # a second leg rotates the first checkpoint to .bak
+    run_verification(resume_from=cp, budget=Budget(states=100), checkpoint_path=cp)
+    with open(cp, "r+b") as fh:
+        fh.truncate(os.path.getsize(cp) // 2)
+    path = tmp_path / "rec.jsonl"
+    telemetry = Telemetry(
+        registry=MetricsRegistry(), trace=TraceWriter.open(str(path))
+    )
+    try:
+        run_verification(resume_from=cp, telemetry=telemetry)
+    finally:
+        telemetry.close()
     events = read_trace(str(path))  # raises TraceError on any violation
     names = [e["ev"] for e in events]
-    for ev in ("worker_died", "round_retry", "recovered"):
-        assert ev in names
-        assert ev in EVENT_SCHEMA
-    died = next(e for e in events if e["ev"] == "worker_died")
-    assert EVENT_SCHEMA["worker_died"] <= died.keys()
-    assert died["dead"] == [1]
     rec = next(e for e in events if e["ev"] == "recovered")
-    assert rec["kind"] == "reshard"
+    assert EVENT_SCHEMA["recovered"] <= rec.keys()
+    assert rec["kind"] == "checkpoint-bak"
     # recovery precedes the verdict: the run still ends normally
     assert names[-1] == "run_end"
-    assert names.index("worker_died") < names.index("recovered") < len(names) - 1
+    assert names.index("recovered") < len(names) - 1
 
 
 # -------------------------------------------------------- crash mid-run
@@ -170,7 +162,7 @@ def test_unknown_event_name_rejected_by_writer_and_reader():
 
 
 def test_missing_required_field_rejected():
-    line = json.dumps({"ev": "round", "ts": 0, "seq": 0, "round": 1})
+    line = json.dumps({"ev": "heartbeat", "ts": 0, "seq": 0, "states": 1})
     with pytest.raises(TraceError, match="missing field"):
         validate_trace_line(line, 3)
 
@@ -237,7 +229,7 @@ def test_torn_tail_tolerance_does_not_mask_mid_file_corruption():
 def test_torn_tail_tolerance_still_rejects_schema_violations():
     # a final line that IS valid JSON but breaks the schema is not a
     # torn tail — it is corruption, and stays an error
-    bad = json.dumps({"ev": "round", "ts": 0, "seq": 1, "round": 1}) + "\n"
+    bad = json.dumps({"ev": "heartbeat", "ts": 0, "seq": 1, "states": 1}) + "\n"
     with pytest.raises(TraceError, match="missing field"):
         read_trace([_mk(0), bad], allow_torn_tail=True)
 
