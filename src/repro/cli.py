@@ -765,16 +765,16 @@ def build_parser() -> argparse.ArgumentParser:
             "     declares no symmetry for, an unsupported model combination\n"
             "     (--model causal with --mode full, --reduce or --por,\n"
             "     --preemptions with --model causal), --store-budget-mb/\n"
-            "     --store-dir without --store disk, or a checkpoint whose\n"
-            "     referenced spill files are missing, torn or CRC-damaged\n"
+            "     --store-dir without --store disk, or a checkpoint that does\n"
+            "     not rebuild (a rebuilt state key differs from the stored one)\n"
             "\n"
             "resume semantics: --reduce, --model, --preemptions and --por are\n"
             "search state (baked into the checkpoint's interned keys, run set\n"
-            "and ample-set pruning; with --resume they are inherited and an\n"
-            "explicit mismatch exits 2 — checkpoints written before the POR\n"
-            "layer resume as --por off), while --store is run policy: an\n"
-            "explicit --store migrates the checkpoint's interned keys into\n"
-            "the requested backend, IDs preserved.\n"
+            "and ample-set pruning; with --resume they are inherited from\n"
+            "the checkpoint — one written under --por off can only\n"
+            "resume as --por off — and an explicit mismatch exits 2), while\n"
+            "--store is run policy: an explicit --store re-interns the\n"
+            "checkpoint's keys into the requested backend, IDs preserved.\n"
             "\n"
             "SIGTERM/SIGINT during the search stop it cooperatively: the final\n"
             "checkpoint (with --checkpoint) is written and the run exits 0\n"
@@ -819,8 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "mmap'd hash index (see docs/ARCHITECTURE.md). Run "
                         "policy, not search state: verdicts, state counts and "
                         "fingerprints are bit-identical across backends, and "
-                        "with --resume an explicit backend migrates the "
-                        "checkpointed store")
+                        "with --resume an explicit backend re-interns the "
+                        "checkpointed keys")
     v.add_argument("--store-budget-mb", type=float, default=None, metavar="MB",
                    help="resident-key budget for --store disk: keys beyond "
                         "this many MB (pickled size) are evicted to the spill "
@@ -828,8 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--store-dir", metavar="DIR", default=None,
                    help="directory for --store disk spill files (default: a "
                         "fresh repro-store-* directory under the system temp "
-                        "dir; checkpoints reference the spill files by path, "
-                        "so keep them alongside long-lived checkpoints)")
+                        "dir; removed at exit)")
     v.add_argument("--reduce", choices=list(REDUCE_LEVELS), default=None,
                    help="symmetry-reduction level: canonicalize states under "
                         "processor (proc), processor+block (proc+block) or "

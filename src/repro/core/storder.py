@@ -35,6 +35,7 @@ __all__ = [
     "RealTimeSTOrder",
     "WriteOrderSTOrder",
     "ActionKeyedSerializer",
+    "describe_generator",
 ]
 
 Handle = int  # observer node handles (opaque ints)
@@ -127,6 +128,14 @@ class STOrderGenerator(abc.ABC):
         """No ST is awaiting serialisation (part of quiescence)."""
         return not self.live_handles()
 
+    def describe(self) -> str:
+        """The generator's identity as search provenance: two searches
+        that differ only in their generator explore different products
+        (lazy caching verifies under its write-order generator and is
+        refuted under real-time order), so the run ledger and
+        checkpoints key on this name."""
+        return type(self).__name__
+
 
 class RealTimeSTOrder(STOrderGenerator):
     """The trivial generator (``|G| = 0``): STs serialise in trace
@@ -150,16 +159,18 @@ class RealTimeSTOrder(STOrderGenerator):
     def copy(self) -> "RealTimeSTOrder":
         return self
 
+    def describe(self) -> str:
+        return "real-time"
+
 
 class ActionKeyedSerializer:
-    """The common ``serialize_proc`` shape as a picklable value: an
+    """The common ``serialize_proc`` shape as a value: an
     internal action named ``action_name`` serialises the oldest pending
     ST of processor ``action.args[0]``.
 
-    Protocol modules used to express this as a lambda, which made every
-    observer state holding the generator unpicklable, which blocked
-    checkpointing.  Instances compare by the action name so generator state
-    keys and equality behave like values.
+    Instances compare by the action name so generator state keys and
+    equality behave like values, and :meth:`WriteOrderSTOrder.describe`
+    can name the generator in search provenance.
     """
 
     __slots__ = ("action_name",)
@@ -264,7 +275,19 @@ class WriteOrderSTOrder(STOrderGenerator):
             if fifo
         )
 
+    def describe(self) -> str:
+        fn = self._serialize_proc
+        if isinstance(fn, ActionKeyedSerializer):
+            return f"write-order({fn.action_name})"
+        return f"write-order({getattr(fn, '__qualname__', repr(fn))})"
+
     def copy(self) -> "WriteOrderSTOrder":
         g = WriteOrderSTOrder(self._serialize_proc)
         g._fifo = {proc: deque(fifo) for proc, fifo in self._fifo.items()}
         return g
+
+
+def describe_generator(st_order: Optional[STOrderGenerator]) -> str:
+    """:meth:`STOrderGenerator.describe`, with ``None`` (the observer's
+    default) read as the real-time generator it stands for."""
+    return "real-time" if st_order is None else st_order.describe()

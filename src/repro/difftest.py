@@ -86,6 +86,7 @@ from .core.verify import check_run
 from .engine.sharding import stable_hash
 from .modelcheck.product import ProductSearch
 from .obs import MetricsRegistry, Telemetry, TraceWriter
+from .obs.ledger import search_provenance
 
 #: the ``search.*`` gauges every honest engine configuration must agree
 #: on for a completed search (peak_frontier and max_depth are excluded:
@@ -104,6 +105,7 @@ __all__ = [
     "CROSS_REDUCE_FIELDS",
     "SearchFingerprint",
     "fingerprint",
+    "search_fingerprint",
     "compare_fingerprints",
     "divergence_report",
     "assert_equivalent",
@@ -156,6 +158,12 @@ class SearchFingerprint:
     #: like ``reduce`` it changes which fields another configuration
     #: must reproduce — see :data:`CROSS_POR_FIELDS`)
     por: str = "off"
+    #: ST-order generator identity (:func:`~repro.core.storder.describe_generator`;
+    #: provenance — the generator shapes the product being searched)
+    generator: str = "real-time"
+    #: random-walk seed (provenance; ``None`` under every other
+    #: strategy, where the seed steers nothing)
+    seed: Optional[int] = None
     #: the :data:`DETERMINISTIC_GAUGES` subset of the run's telemetry
     #: snapshot, as sorted (name, value) pairs — proves the metrics
     #: pipeline reports the same search the engines agree on
@@ -178,8 +186,10 @@ class SearchFingerprint:
         fingerprint keys straight into :meth:`RunLedger.lookup`."""
         return {
             "protocol": self.protocol,
+            "generator": self.generator,
             "mode": self.mode,
             "strategy": self.strategy,
+            "seed": self.seed,
             "exhaustive": self.exhaustive,
             "reduce": self.reduce,
             "model": self.model,
@@ -274,6 +284,14 @@ def fingerprint(
         max_depth=max_depth,
         store=store,
     )
+    return search_fingerprint(search)
+
+
+def search_fingerprint(search: ProductSearch) -> SearchFingerprint:
+    """Run ``search`` to its end and summarise it — the second half of
+    :func:`fingerprint`, for a search built elsewhere: a search resumed
+    from a checkpoint must fingerprint exactly like an uninterrupted
+    one."""
     telemetry = Telemetry(registry=MetricsRegistry(), trace=TraceWriter([]))
     result = search.run(telemetry=telemetry)
     engine = search.engine
@@ -282,6 +300,7 @@ def fingerprint(
         (name, gauges[name]) for name in DETERMINISTIC_GAUGES if name in gauges
     )
 
+    exhaustive = not search.stop_on_violation
     viol_hashes = frozenset(stable_hash(k) for k in engine.violation_keys())
     canonical: Optional[int] = None
     if exhaustive and viol_hashes:
@@ -298,18 +317,12 @@ def fingerprint(
         # full SC, so replay validity IS the refinement promise: the
         # bounded counterexample is a genuine full-search violation
         cx_replays = not check_run(
-            protocol, result.counterexample.run, st_order, model=model
+            search.protocol, result.counterexample.run, search.st_order,
+            model=search.model_name,
         ).ok
 
     return SearchFingerprint(
-        protocol=protocol.describe(),
-        mode=mode,
-        strategy=strategy,
-        reduce=reduce,
-        model=model,
-        preemptions=preemptions,
-        por=por,
-        exhaustive=exhaustive,
+        **search_provenance(search),
         verdict=_verdict_of(result),
         states=result.stats.states,
         transitions=result.stats.transitions,

@@ -88,8 +88,7 @@ class ProtocolComponent(Component):
 class ObserverComponent(Component):
     """A consistency model's witness observer as a component:
     fork-on-step, emitting the descriptor symbols of the transition.
-    ``model`` defaults to sequential consistency (also the reading of
-    checkpoints pickled before the model layer existed)."""
+    ``model`` defaults to sequential consistency."""
 
     def __init__(
         self,
@@ -109,7 +108,7 @@ class ObserverComponent(Component):
         self.model = model
 
     def initial(self):
-        model = getattr(self, "model", None)
+        model = self.model
         if model is None:
             from ..models.sc import SequentialConsistency
 
@@ -142,9 +141,9 @@ class CheckerComponent(Component):
         self.model = model
 
     def initial(self):
-        model = getattr(self, "model", None)
+        model = self.model
         if model is None:
-            # pre-model-layer wiring (and old checkpoints): SC's pair
+            # no model given: SC's pair
             return Checker() if self.full else CycleChecker()
         return model.make_checker("full" if self.full else "fast")
 
@@ -205,6 +204,14 @@ class System(abc.ABC):
     @abc.abstractmethod
     def steps(self, state) -> Iterator[Step]:
         """All successors of ``state``."""
+
+    def successor(self, state, action) -> Any:
+        """The successor of ``state`` via ``action``, with no key
+        computed — how :meth:`SearchEngine.restore
+        <repro.engine.strategy.SearchEngine.restore>` rebuilds a paused
+        frontier from parent pointers.  Raises :class:`ValueError` when
+        ``action`` is not enabled at ``state``."""
+        raise NotImplementedError(f"{type(self).__name__} cannot replay actions")
 
     def end_check(self, state) -> Optional[bool]:
         """``None`` when no end condition applies at ``state``;
@@ -346,21 +353,6 @@ class ComposedSystem(System):
         self.checker_comp = CheckerComponent(full=not fast, model=self.model)
         self._fast = fast
 
-    def __setstate__(self, state):
-        # pre-reduction checkpoints pickled a ComposedSystem without
-        # these attributes (CHECKPOINT_VERSION was deliberately not
-        # bumped — see harness/checkpoint.py); they load as the
-        # "off" level, which is what they were.  Pre-model-layer
-        # checkpoints likewise load as SC (model=None: the component
-        # initialisers fall back to the SC observer/checker pair).
-        state.setdefault("reduce", "off")
-        state.setdefault("reduction", None)
-        state.setdefault("model", None)
-        # pre-POR checkpoints load as --por off
-        state.setdefault("por", "off")
-        state.setdefault("por_selector", None)
-        self.__dict__.update(state)
-
     def ample_candidates(self, state, steps) -> Optional[list]:
         sel = self.por_selector
         if sel is None:
@@ -428,6 +420,15 @@ class ComposedSystem(System):
             Step(t.action, child, self.key(child), ok)
             for t, child, ok in children
         ]
+
+    def successor(self, state, action):
+        pstate, obs, chk = state
+        for t in self.protocol_comp.enabled(pstate):
+            if t.action == action:
+                obs2, symbols = self.observer_comp.step(obs, t)
+                chk2, _ = self.checker_comp.step(chk, symbols)
+                return (t.state, obs2, chk2)
+        raise ValueError(f"{action!r} is not enabled on replay")
 
     def end_check(self, state) -> Optional[bool]:
         pstate, _obs, chk = state

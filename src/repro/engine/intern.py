@@ -30,11 +30,10 @@ over a pluggable **key backend**
 * :class:`DiskBackend` (``--store disk``) spills interned keys to an
   append-only CRC-framed key log with an mmap'd open-addressing hash
   index, keeping only a bounded *resident* dict of hot keys in RAM
-  (``--store-budget-mb``).  Columns are ``array``-backed.  Checkpoints
-  reference the spill files by path after an fsync
-  (:meth:`DiskBackend.sync`); a torn or corrupted spill file surfaces
-  as :class:`StoreError`, which checkpoint loading converts to a clean
-  ``CheckpointError``.
+  (``--store-budget-mb``).  Columns are ``array``-backed.  The spill
+  files are scratch space owned by one backend instance: they are
+  removed when it goes away, and a torn or corrupted frame read back
+  mid-search surfaces as :class:`StoreError`.
 
 The backend is **run policy**, never search provenance: which backend
 interned the keys cannot affect a single ID, count or verdict, and the
@@ -47,12 +46,12 @@ the engine hot loop can intern a whole successor batch in array form —
 the seam where a compiled kernel can later slot in without touching
 callers.
 
-The store is plain data so a paused search pickles and resumes exactly
-(:mod:`repro.harness.checkpoint`).  Legacy checkpoints written
-before the backend split (raw ``_ids``/``_keys`` slot pickles) are
-still loaded: :meth:`StateStore.__setstate__` rebuilds a
-:class:`MemBackend` and recomputes the depth column from the parent
-pointers.
+A paused search leaves the store as plain columns
+(:meth:`StateStore.columns`) and a checkpoint resume re-interns them in
+ID order into whichever backend is in force
+(:meth:`StateStore.load_columns`), so a search checkpointed under one
+backend continues under the other with every ID preserved
+(:mod:`repro.harness.checkpoint`).
 """
 
 from __future__ import annotations
@@ -97,14 +96,9 @@ NO_PARENT = -1
 
 
 class StoreError(RuntimeError):
-    """A store backend's persistent spill files are missing, torn or
-    corrupted (CRC mismatch, short frame, bad index header).
-
-    Raised while reopening a :class:`DiskBackend` from a checkpoint;
-    :func:`repro.harness.checkpoint.load` converts it to a
-    ``CheckpointError`` so the CLI exits 2 with a clear message
-    instead of a traceback.
-    """
+    """A store backend is misconfigured (unknown kind) or its spill
+    files are unreadable, torn or corrupted (CRC mismatch, short frame,
+    bad index header).  The CLI reports it with exit code 2."""
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +202,6 @@ class StoreBackend(Protocol):
 
     def store_stats(self) -> Dict[str, object]: ...
 
-    def sync(self) -> None: ...
-
 
 # ----------------------------------------------------------------------
 # mem backend — the original representation, bit for bit
@@ -296,22 +288,6 @@ class MemBackend:
             "lookups": 0,
             "io_s": 0.0,
         }
-
-    def sync(self) -> None:
-        pass
-
-    def __setstate__(self, state):
-        # plain slots pickling; backfill _cfg for states pickled before
-        # a config was carried
-        if isinstance(state, tuple):
-            merged: Dict[str, object] = {}
-            for part in state:
-                if part:
-                    merged.update(part)
-            state = merged
-        self._cfg = state.get("_cfg", StoreConfig())
-        self._ids = state["_ids"]
-        self._keys = state["_keys"]
 
 
 # ----------------------------------------------------------------------
@@ -401,23 +377,12 @@ class DiskBackend:
     fixed 24 bytes/state of offset/length bookkeeping — capacity
     becomes a disk problem.
 
-    Checkpointing is **fsync-and-reference**: pickling the backend
-    flushes and fsyncs both files and records their *paths* plus the
-    logical log length, never the log contents.  Unpickling verifies
-    every referenced frame (existence, length, CRC) and rebuilds the
-    index from the verified keys — a torn or damaged spill file is a
-    :class:`StoreError`, which checkpoint loading reports as a clean
-    ``CheckpointError``.  Bytes past the recorded log end (a crash
-    mid-append) are ignored on verification and truncated before the
-    new owner's first append.
-
     The spill directory a backend creates is removed when the backend
-    is garbage-collected (or at interpreter exit), unless a checkpoint
-    references it: pickling the backend detaches that cleanup, and a
-    backend restored from a pickle never registers one, so directories
-    named by a checkpoint on disk survive for its resume.  Lazily
-    reopened file handles are keyed to ``os.getpid()`` so a handle
-    inherited across ``fork`` is never written through.
+    is garbage-collected (or at interpreter exit), checkpointed or not:
+    a checkpoint carries the interned keys themselves, never a
+    reference to spill files.  Lazily reopened file handles are keyed
+    to ``os.getpid()`` so a handle inherited across ``fork`` is never
+    written through.
     """
 
     __slots__ = (
@@ -526,8 +491,8 @@ class DiskBackend:
         self._close_handles()
         try:
             logw = open(self._log_path, "r+b")
-            # roll back any bytes past the referenced log end (a crash
-            # mid-append, or post-snapshot appends by a failed owner)
+            # roll back any bytes past this owner's log end (appends
+            # by the other side of a fork)
             logw.truncate(self._log_end)
             logw.seek(self._log_end)
             self._logw = logw
@@ -740,137 +705,10 @@ class DiskBackend:
             "io_s": self._io_s,
         }
 
-    def sync(self) -> None:
-        """Flush and fsync the spill files so a checkpoint can
-        reference them by path."""
-        if self._logw is None or self._pid != os.getpid():
-            return  # nothing written by this process since restore
-        t0 = perf_counter()
-        self._logw.flush()
-        os.fsync(self._logw.fileno())
-        _IDX_HEADER.pack_into(self._mm, len(_IDX_MAGIC), self._nslots, self._count)
-        self._mm.flush()
-        os.fsync(self._idxf.fileno())
-        self._io_s += perf_counter() - t0
-
-    # -- pickling: fsync-and-reference ---------------------------------
-
-    def __getstate__(self):
-        self.sync()
-        # a checkpoint is about to reference the spill files: they must
-        # outlive this backend
-        if self._cleanup is not None:
-            self._cleanup.detach()
-        return {
-            "cfg": self._cfg,
-            "dir": self._dir,
-            "log_path": self._log_path,
-            "idx_path": self._idx_path,
-            "offsets": self._offsets,
-            "lens": self._lens,
-            "count": self._count,
-            "log_end": self._log_end,
-            "resident": dict(self._resident),
-            "probes": self._probes,
-            "lookups": self._lookups,
-            "io_s": self._io_s,
-        }
-
-    def __setstate__(self, state):
-        self._cfg = state["cfg"]
-        self._dir = state["dir"]
-        self._log_path = state["log_path"]
-        self._idx_path = state["idx_path"]
-        self._offsets = state["offsets"]
-        self._lens = state["lens"]
-        self._count = state["count"]
-        self._log_end = state["log_end"]
-        self._resident = state["resident"]
-        self._rkeys = {sid: key for key, sid in self._resident.items()}
-        self._resident_bytes = sum(
-            self._lens[sid] + _FRAME.size for sid in self._rkeys
-        )
-        self._nslots = _IDX_MIN_SLOTS
-        self._probes = state["probes"]
-        self._lookups = state["lookups"]
-        self._io_s = state["io_s"]
-        self._logw = self._logr = self._idxf = self._mm = None
-        self._pid = None
-        # restored from a checkpoint, which still references the files
-        self._cleanup = None
-        self._verify_and_reindex()
-
-    def _verify_and_reindex(self) -> None:
-        """Verify every referenced frame of the spill log and rebuild
-        the index from the verified keys.
-
-        Runs on every unpickle (checkpoint resume).
-        Bytes past ``log_end`` are tolerated here — a crash mid-append
-        leaves a partial frame that the next owner truncates before
-        writing — but a log shorter than its reference, a length or
-        CRC mismatch, or an unreadable key is a :class:`StoreError`.
-        """
-        t0 = perf_counter()
-        try:
-            size = os.path.getsize(self._log_path)
-        except OSError as exc:
-            raise StoreError(
-                f"spill log missing: {self._log_path}: {exc}"
-            ) from exc
-        if size < self._log_end:
-            raise StoreError(
-                f"spill log torn: {self._log_path} holds {size} bytes, "
-                f"checkpoint references {self._log_end}"
-            )
-        pairs = []
-        with open(self._log_path, "rb") as f:
-            for sid in range(self._count):
-                f.seek(self._offsets[sid])
-                plen = self._lens[sid]
-                data = f.read(_FRAME.size + plen)
-                if len(data) < _FRAME.size + plen:
-                    raise StoreError(
-                        f"spill log truncated at state {sid}: {self._log_path}"
-                    )
-                crc, flen = _FRAME.unpack_from(data)
-                payload = data[_FRAME.size :]
-                if flen != plen or zlib.crc32(payload) != crc:
-                    raise StoreError(
-                        f"spill log corrupt at state {sid}: {self._log_path}"
-                    )
-                try:
-                    key = pickle.loads(payload)
-                except Exception as exc:
-                    raise StoreError(
-                        f"spill log unreadable at state {sid}: {exc}"
-                    ) from exc
-                pairs.append((key_hash64(key), sid + 1))
-        nslots = _IDX_MIN_SLOTS
-        while nslots * 2 < self._count * 3:
-            nslots *= 2
-        try:
-            self._replace_index(nslots, pairs)
-        except OSError as exc:
-            raise StoreError(
-                f"cannot rebuild spill index {self._idx_path}: {exc}"
-            ) from exc
-        self._io_s += perf_counter() - t0
-
 
 # ----------------------------------------------------------------------
 # facades
 # ----------------------------------------------------------------------
-
-
-def _legacy_state(state) -> Dict[str, object]:
-    """Flatten a pre-backend slots pickle ``(None, {slot: value})``."""
-    if isinstance(state, tuple):
-        merged: Dict[str, object] = {}
-        for part in state:
-            if part:
-                merged.update(part)
-        return merged
-    return state
 
 
 class StateStore:
@@ -997,52 +835,48 @@ class StateStore:
         """The backend's capacity counters (``store.*`` gauges)."""
         return self._backend.store_stats()
 
-    def sync(self) -> None:
-        self._backend.sync()
-
-    def converted(self, store) -> "StateStore":
-        """A copy of this store under a different backend: keys
-        re-interned in ID order (so every ID is preserved), columns
-        copied.  Used when ``--store`` on resume overrides the
-        checkpointed backend (run policy)."""
-        new = StateStore(store)
-        for sid in range(len(self)):
-            nsid, fresh = new._backend.intern(self.key_of(sid))
-            assert fresh and nsid == sid
-            new._parent.append(self._parent[sid])
-            new._action.append(self._action[sid])
-            new._depth.append(self._depth[sid])
-        return new
-
-    # ------------------------------------------------------------------
-    def __getstate__(self):
+    def columns(self, chunk: int = 4096) -> Dict[str, object]:
+        """The store as plain columns, in ID order: ``parent``,
+        ``action`` and ``depth`` lists, plus ``keys`` as a lazy
+        iterator of key lists at most ``chunk`` long, so a spilling
+        backend is read back a chunk at a time."""
+        n = len(self)
         return {
-            "backend": self._backend,
-            "parent": self._parent,
-            "action": self._action,
-            "depth": self._depth,
+            "keys": (
+                [self.key_of(sid) for sid in range(lo, min(lo + chunk, n))]
+                for lo in range(0, n, chunk)
+            ),
+            "parent": list(self._parent),
+            "action": [self._action[sid] for sid in range(n)],
+            "depth": list(self._depth),
         }
 
-    def __setstate__(self, state):
-        state = _legacy_state(state)
-        if "_ids" in state:
-            # pre-backend checkpoint: raw dict/list slots, no depth
-            # column — rebuild a mem backend and recompute depths (a
-            # parent is always interned before its child, so one
-            # forward pass suffices)
-            backend = MemBackend()
-            backend._ids = state["_ids"]
-            backend._keys = state["_keys"]
-            self._backend = backend
-            self._parent = state["_parent"]
-            self._action = state["_action"]
-            depth: List[int] = []
-            for sid, parent in enumerate(self._parent):
-                depth.append(0 if parent == NO_PARENT else depth[parent] + 1)
-            self._depth = depth
-        else:
-            self._backend = state["backend"]
-            self._parent = state["parent"]
-            self._action = state["action"]
-            self._depth = state["depth"]
-
+    def load_columns(self, columns: Dict[str, object]) -> None:
+        """Refill a store that holds only the root with :meth:`columns`
+        from a paused search (possibly under another backend): keys
+        are re-interned in ID order, one chunk at a time, so every ID
+        is preserved.  Raises :class:`ValueError` when the root key
+        differs or the columns are inconsistent."""
+        if len(self) != 1:
+            raise ValueError("columns load into a store holding only the root")
+        backend = self._backend
+        n = 0
+        for chunk in columns["keys"]:
+            if n == 0:
+                if not chunk or chunk[0] != backend.key_of(0):
+                    raise ValueError("the rebuilt initial state has a different key")
+                chunk, n = chunk[1:], 1
+            for sid, (got, new) in enumerate(backend.intern_many(chunk), n):
+                if not new or got != sid:
+                    raise ValueError(f"state {sid} is interned twice")
+            n += len(chunk)
+        parent = backend.new_int_column()
+        action = backend.new_action_column()
+        depth = backend.new_int_column()
+        for p, a, d in zip(columns["parent"], columns["action"], columns["depth"]):
+            parent.append(p)
+            action.append(a)
+            depth.append(d)
+        if not len(parent) == len(action) == len(depth) == n:
+            raise ValueError("store columns disagree in length")
+        self._parent, self._action, self._depth = parent, action, depth

@@ -155,10 +155,8 @@ class PorSpec:
     """A protocol's POR declaration: the schema universe, footprints,
     and (optionally) sharper necessary-enabling sets.
 
-    Subclasses must be picklable values (they ride on the
-    :class:`~repro.engine.component.ComposedSystem` inside
-    checkpoints) and deterministic: every method is a pure function of
-    its arguments.
+    Subclasses must be deterministic: every method is a pure function
+    of its arguments.
     """
 
     def schemas(self) -> Iterable[Tuple]:
@@ -250,9 +248,8 @@ class AmpleSelector:
     """The per-system ample-set selector.
 
     Built once per :class:`~repro.engine.component.ComposedSystem`
-    (``--por on``); pickles back to a fresh selector — counters and
-    memo caches are run-local, exactly like
-    :class:`~repro.engine.reduction.ReductionCounters`.
+    (``--por on``); counters and memo caches are run-local, exactly
+    like :class:`~repro.engine.reduction.ReductionCounters`.
     """
 
     spec: Optional[PorSpec]
@@ -286,9 +283,6 @@ class AmpleSelector:
         self._fp = fp
         self._deps = {s: tuple(ds) for s, ds in deps.items()}
         self._writers = {r: tuple(ws) for r, ws in writers.items()}
-
-    def __reduce__(self):
-        return (type(self), (self.spec, self.gen_template))
 
     # ------------------------------------------------------------------
     def select(self, pstate, steps) -> Optional[list]:

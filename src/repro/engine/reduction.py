@@ -362,8 +362,7 @@ class ReductionCounters:
 class Reduction:
     """The enumerated permutation group plus the orbit-minimum map.
 
-    Picklable plain data (checkpoints carry it inside the pickled
-    search).  ``perms`` always
+    ``perms`` always
     starts with the identity, and ties in the orbit minimum are broken
     in its favour, so ``counters.orbit_hits`` counts exactly the
     canonicalizations that landed on a *different* representative.
@@ -375,10 +374,6 @@ class Reduction:
         self.perms: Tuple[Permutation, ...] = tuple(perms)
         assert self.perms and self.perms[0].is_identity
         self.counters = ReductionCounters()
-
-    def __reduce__(self):
-        # counters are run-local; an unpickled copy starts fresh
-        return (Reduction, (self.level, self.spec, self.perms))
 
     @property
     def group_size(self) -> int:

@@ -5,8 +5,7 @@ interpreter and every run, which rules out Python's built-in ``hash``
 (``str.__hash__`` is salted per process via ``PYTHONHASHSEED``):
 
 * the disk store backend (:class:`~repro.engine.intern.DiskBackend`)
-  keys its on-disk open-addressing index with :func:`key_hash64`, and
-  that index must survive checkpoint resume in a fresh interpreter;
+  keys its on-disk open-addressing index with :func:`key_hash64`;
 * exhaustive-mode searches order their violating states by
   :func:`stable_hash` of the key, so the canonical violation a run
   reports does not depend on discovery order.
@@ -109,9 +108,7 @@ def key_hash64(key: Hashable) -> int:
     on-disk slots.
 
     The disk store backend (:class:`~repro.engine.intern.DiskBackend`)
-    keys its mmap'd open-addressing index with this; process and run
-    stability is what lets the index survive checkpoint resume in a
-    fresh interpreter.
+    keys its mmap'd open-addressing index with this.
     """
     return stable_hash(key) & _MASK
 

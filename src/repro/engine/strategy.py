@@ -14,8 +14,8 @@ states are expanded:
 :class:`SearchEngine` owns everything else: the
 :class:`~repro.engine.intern.StateStore`, state/depth caps, the
 cooperative ``should_stop`` budget hook, successor tracking for the
-quiescence-reachability closure, and the paused-search state that
-checkpoint/resume pickles.  ``ProductSearch``,
+quiescence-reachability closure, and the :meth:`~SearchEngine.snapshot`
+/ :meth:`~SearchEngine.restore` pair behind checkpoint/resume.  ``ProductSearch``,
 :func:`repro.modelcheck.explorer.explore`, the litmus runner,
 :func:`repro.faults.matrix.fault_matrix` and the
 :func:`repro.harness.degrade.degrade` ladder are thin adapters over
@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from . import por as _por
 from .component import System
-from .intern import StateStore
+from .intern import NO_PARENT, StateStore
 from ..obs.stats import ExplorationStats
 
 __all__ = [
@@ -68,6 +68,12 @@ class Frontier(abc.ABC):
 
     def __bool__(self) -> bool:
         return len(self) > 0
+
+    def entries(self) -> List[Entry]:
+        """The held entries in storage order: pushing them back in
+        this order into an empty frontier of the same kind rebuilds
+        it (a random walk also needs its RNG state)."""
+        return list(self._q)
 
 
 class BFSFrontier(Frontier):
@@ -104,8 +110,8 @@ class DFSFrontier(Frontier):
 
 class RandomWalkFrontier(Frontier):
     """Expands a uniformly random held entry (swap-with-last, so pop
-    is O(1)).  Seeded, hence reproducible — and picklable, so a
-    random-walk search checkpoints like any other."""
+    is O(1)).  Seeded, hence reproducible — and its RNG state is plain
+    data, so a random-walk search checkpoints like any other."""
 
     def __init__(self, seed: int = 0) -> None:
         self._q: List[Entry] = []
@@ -166,8 +172,9 @@ class SearchEngine:
 
     Construct, then call :meth:`run` — repeatedly, if a ``should_stop``
     hook halts it.  Between calls the engine holds the frontier, the
-    interned-state store and the successor map, so it can be pickled to
-    disk and resumed in another process.
+    interned-state store and the successor map; :meth:`snapshot` turns
+    them into plain data and :meth:`restore` continues them in a fresh
+    engine over the same system, in another process if need be.
 
     ``strict_cap`` selects the state-cap discipline: ``True`` stops
     *before* admitting a state past the cap (plain reachability's
@@ -269,6 +276,85 @@ class SearchEngine:
         return SearchOutcome(
             "violation", best, self.stats, violations=tuple(self.violations)
         )
+
+    def snapshot(self) -> Dict[str, object]:
+        """The paused search as plain data: the store columns (keys
+        streamed in chunks, see :meth:`StateStore.columns`), the
+        frontier as interned IDs in storage order, the random walk's
+        RNG state, the successor map, the quiescent set, violations,
+        cap truncation and stats.  System states are not included —
+        :meth:`restore` rebuilds them from parent pointers."""
+        if self._final is not None:
+            raise ValueError("the search has finished; there is nothing to resume")
+        walk = isinstance(self.frontier, RandomWalkFrontier)
+        return {
+            "store": self.store.columns(),
+            "frontier": [sid for _state, sid, _depth in self.frontier.entries()],
+            "rng": self.frontier._rng.getstate() if walk else None,
+            "successors": self._succs,
+            "quiescent": self._quiescent,
+            "violations": self.violations,
+            "cap_truncated": self._cap_truncated,
+            "stats": self.stats.as_dict(),
+        }
+
+    def restore(self, snap: Dict[str, object]) -> None:
+        """Continue the paused search ``snap`` (a :meth:`snapshot`) in
+        this freshly constructed engine, whose system must be built
+        from the same arguments.
+
+        The keys are re-interned in ID order into this engine's store
+        backend.  Each frontier state is rebuilt by replaying its
+        parent-pointer path through :meth:`System.successor`: the
+        ancestors of all frontier states are replayed once each, in ID
+        order (a parent is always interned before its children), and
+        dropped once their last needed child exists.  Raises
+        :class:`ValueError` when the rebuilt initial state or any
+        rebuilt frontier state has a different key than the one
+        stored — the record does not describe this system.
+        """
+        store, system = self.store, self.system
+        store.load_columns(snap["store"])
+        ids = list(snap["frontier"])
+        needed: Set[int] = set()
+        for sid in ids:
+            while sid not in needed:
+                needed.add(sid)
+                sid = store.parent_of(sid)[0]
+                if sid == NO_PARENT:
+                    break
+        pending: Dict[int, int] = {}
+        for sid in needed:
+            parent = store.parent_of(sid)[0]
+            if parent != NO_PARENT:
+                pending[parent] = pending.get(parent, 0) + 1
+        keep = set(ids)
+        live: Dict[int, object] = {}
+        for sid in sorted(needed):
+            parent, action = store.parent_of(sid)
+            if parent == NO_PARENT:
+                live[sid] = system.initial()
+                continue
+            live[sid] = system.successor(live[parent], action)
+            pending[parent] -= 1
+            if not pending[parent] and parent not in keep:
+                del live[parent]
+        while self.frontier:
+            self.frontier.pop()
+        for sid in ids:
+            if system.key(live[sid]) != store.key_of(sid):
+                raise ValueError(f"frontier state {sid} rebuilds to a different key")
+            self.frontier.push((live[sid], sid, store.depth_of(sid)))
+        if snap["rng"] is not None:
+            self.frontier._rng.setstate(snap["rng"])
+        if self._succs is not None:
+            self._succs = snap["successors"]
+        self._quiescent = set(snap["quiescent"])
+        self.violations = list(snap["violations"])
+        self._cap_truncated = snap["cap_truncated"]
+        self._final = None
+        for name, value in snap["stats"].items():
+            setattr(self.stats, name, value)
 
     def run(
         self, should_stop: Optional[StopHook] = None, telemetry=None

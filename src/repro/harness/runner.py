@@ -29,7 +29,6 @@ from typing import Optional, Union
 from ..core.protocol import Protocol
 from ..core.storder import STOrderGenerator
 from ..core.verify import VerificationResult, result_from_product
-from ..engine.intern import as_config
 from ..modelcheck.product import ProductSearch
 from ..obs.ledger import RunLedger, search_provenance
 from .budget import Budget
@@ -96,6 +95,14 @@ class _SignalStop:
         return None
 
 
+def _flags(values, fields) -> str:
+    """``--reduce full, --por on`` for ``fields`` of a provenance-like
+    mapping (``no --preemptions`` for an unset bound)."""
+    return ", ".join(
+        f"--{f} {values[f]}" if values[f] is not None else f"no --{f}" for f in fields
+    )
+
+
 def run_verification(
     protocol: Optional[Protocol] = None,
     st_order: Optional[STOrderGenerator] = None,
@@ -156,50 +163,34 @@ def _run_verification(
     :mod:`repro.engine.strategy`); BFS is the default and the only one
     that yields shortest counterexamples.
 
-    ``reduce`` selects the symmetry-reduction level (``None`` means:
-    ``"off"`` for a fresh search, whatever the checkpoint used for a
-    resumed one).  Unlike ``store``, the level cannot change at
-    resume time — the interned store holds quotient keys of the
-    original level's group, so the frontier and seen-set would be
-    keyed inconsistently under any other group.  An explicit
-    mismatching ``reduce`` on resume raises :class:`CheckpointError`
-    (CLI exit code 2; see ``repro verify --help`` for the exit-code
-    contract).
-
-    ``model`` / ``preemptions`` select the consistency condition and
-    the optional context-switch bound (``None`` means: ``"sc"`` /
-    unbounded for a fresh search, whatever the checkpoint used for a
-    resumed one).  Like ``reduce`` — and unlike ``store`` — both are
-    search state, not run policy: the interned joint states embed the
-    model's observer/checker components, so an explicit mismatch on
-    resume raises :class:`CheckpointError` (exit code 2).
+    ``reduce``, ``model``, ``preemptions`` and ``por`` select the
+    symmetry-reduction level, the consistency condition, the optional
+    context-switch bound and the partial-order-reduction level
+    (``None`` means: ``"off"`` / ``"sc"`` / unbounded / ``"off"`` for
+    a fresh search, whatever the checkpoint used for a resumed one).
+    They are search state: the interned store holds quotient keys of
+    the reduction level's group, joint states embedding the model's
+    observer and checker, exactly the runs the bound admits and
+    exactly the states the ample sets explored.  An explicit value on
+    resume that differs from the checkpoint's provenance raises
+    :class:`CheckpointError` (CLI exit code 2; see ``repro verify
+    --help`` for the exit-code contract).
 
     ``store`` selects the state-store backend (a kind string or a
     :class:`~repro.engine.intern.StoreConfig`; ``None`` means: ``mem``
     for a fresh search, whatever the checkpoint used for a resumed
-    one).  Unlike ``reduce`` it is run policy, not search state: an
-    explicit ``store`` on resume migrates the interned keys into the
-    requested backend with every ID preserved
-    (:meth:`~repro.engine.intern.StateStore.converted`), so a search
-    checkpointed under ``mem`` can continue spilling to disk and vice
-    versa.
-
-    ``por`` selects the partial-order-reduction level (``None`` means:
-    ``"off"`` for a fresh search, whatever the checkpoint used for a
-    resumed one).  Like ``reduce`` it is search state, not run policy:
-    the interned store holds exactly the states the selected ample
-    sets explored, so flipping the level mid-search would leave
-    deferred successors permanently unexplored (or re-expand pruned
-    ones inconsistently).  An explicit mismatching ``por`` on resume
-    raises :class:`CheckpointError` (exit code 2); checkpoints written
-    before the POR layer resume as ``--por off``.
+    one).  It is run policy, not search state: resume re-interns the
+    checkpointed keys into the requested backend with every ID
+    preserved, so a search checkpointed under ``mem`` can continue
+    spilling to disk and vice versa.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`, optional) records
     run traces, metrics and live progress — including a
     ``checkpoint_saved`` event when truncation writes one, and a
     ``recovered`` event when resume had to fall back to the ``.bak``
-    checkpoint.  It is never stored on the search, so checkpoints stay
-    free of telemetry handles (see ``docs/OBSERVABILITY.md``).  When
+    checkpoint.  Its ``run_start`` event carries the search provenance
+    — the checkpoint's on resume.  It is never stored on the search
+    (see ``docs/OBSERVABILITY.md``).  When
     it carries a flight recorder, the ring is dumped on a violation or
     a signal stop (exceptions are dumped by the public wrapper).
 
@@ -215,72 +206,20 @@ def _run_verification(
         if protocol is not None:
             raise ValueError("pass either a protocol or resume_from, not both")
         cp, used_backup = Checkpoint.load_or_backup(resume_from)
-        search = cp.search
-        spent = cp.elapsed_s
-        # searches pickled before the reduction layer carry no flag —
-        # they were, by construction, unreduced
-        cp_reduce = getattr(search, "reduce", "off")
-        if reduce is not None and reduce != cp_reduce:
+        asked = {"reduce": reduce, "model": model, "preemptions": preemptions, "por": por}
+        clash = [f for f, v in asked.items() if v is not None and v != cp.provenance[f]]
+        if clash:
             raise CheckpointError(
-                f"checkpoint {resume_from!r} was written with --reduce "
-                f"{cp_reduce}; its interned states are quotient keys of "
-                f"that level's permutation group and cannot be re-keyed, "
-                f"so it cannot be resumed with --reduce {reduce}. Resume "
-                f"with --reduce {cp_reduce} (or omit --reduce), or "
+                f"checkpoint {resume_from!r} was written with "
+                f"{_flags(cp.provenance, clash)}; its interned states are "
+                f"keyed, explored and checked under those settings, so it "
+                f"cannot be resumed with {_flags(asked, clash)}. Resume "
+                f"with the checkpointed values (or omit the flags), or "
                 f"restart the verification from scratch. (Exit code 2 — "
                 f"usage error; see `repro verify --help`.)"
             )
-        # searches pickled before the model layer carry no model
-        # attributes — they were, by construction, unbounded SC
-        cp_model = getattr(search, "model_name", "sc")
-        cp_preemptions = getattr(search, "preemptions", None)
-        if model is not None and model != cp_model:
-            raise CheckpointError(
-                f"checkpoint {resume_from!r} was written with --model "
-                f"{cp_model}; its interned joint states embed that "
-                f"model's observer and checker components and cannot be "
-                f"re-keyed, so it cannot be resumed with --model "
-                f"{model}. Resume with --model {cp_model} (or omit "
-                f"--model), or restart the verification from scratch. "
-                f"(Exit code 2 — usage error; see `repro verify "
-                f"--help`.)"
-            )
-        # searches pickled before the POR layer carry no flag — they
-        # were, by construction, fully expanded
-        cp_por = getattr(search, "por", "off")
-        if por is not None and por != cp_por:
-            raise CheckpointError(
-                f"checkpoint {resume_from!r} was written with --por "
-                f"{cp_por}; its interned store holds exactly the states "
-                f"that level's ample sets explored, so changing the "
-                f"level mid-search would corrupt the deferred-successor "
-                f"bookkeeping. Resume with --por {cp_por} (or omit "
-                f"--por), or restart the verification from scratch. "
-                f"(Exit code 2 — usage error; see `repro verify "
-                f"--help`.)"
-            )
-        if preemptions is not None and preemptions != cp_preemptions:
-            was = (
-                "an unbounded search"
-                if cp_preemptions is None
-                else f"--preemptions {cp_preemptions}"
-            )
-            raise CheckpointError(
-                f"checkpoint {resume_from!r} holds {was}; the preemption "
-                f"bound is part of the explored run set, so it cannot be "
-                f"resumed with --preemptions {preemptions}. Resume "
-                f"without changing the bound, or restart the "
-                f"verification from scratch. (Exit code 2 — usage "
-                f"error; see `repro verify --help`.)"
-            )
-        if store is not None:
-            # store backend is run policy: an explicit --store on
-            # resume migrates the interned keys into the requested
-            # backend, IDs preserved
-            cfg = as_config(store)
-            search.store_config = cfg
-            if search.engine.store.config != cfg:
-                search.engine.store = search.engine.store.converted(cfg)
+        search = cp.resume(store)
+        spent = cp.elapsed_s
     else:
         if protocol is None:
             raise ValueError("a protocol (or resume_from) is required")
@@ -300,19 +239,11 @@ def _run_verification(
         )
         spent = 0.0
 
+    provenance = search_provenance(search)
     if telemetry is not None:
-        extra = {}
-        if getattr(search, "preemptions", None) is not None:
-            extra["preemptions"] = search.preemptions
         telemetry.start_run(
-            protocol=search.protocol.describe(),
-            mode=search.mode,
-            strategy=strategy,
-            reduce=getattr(search, "reduce", "off"),
-            model=getattr(search, "model_name", "sc"),
-            por=getattr(search, "por", "off"),
+            **{k: v for k, v in provenance.items() if v is not None},
             resumed=resume_from is not None,
-            **extra,
         )
         if used_backup is not None:
             telemetry.emit("recovered", kind="checkpoint-bak", path=used_backup)
@@ -345,12 +276,8 @@ def _run_verification(
                 states=res.stats.states,
                 elapsed_s=round(spent, 6),
             )
-    result = result_from_product(
-        search.protocol, res, model=getattr(search, "model_name", "sc")
-    )
-    if getattr(search, "preemptions", None) is not None and (
-        result.counterexample is None
-    ):
+    result = result_from_product(search.protocol, res, model=search.model_name)
+    if search.preemptions is not None and result.counterexample is None:
         result.complete = False
         result.confidence = f"bounded(preemptions<={search.preemptions})"
     if telemetry is not None:
@@ -373,7 +300,6 @@ def _run_verification(
         # on the caps, which are run policy and outside the hash
         if isinstance(ledger, (str,)):
             ledger = RunLedger(ledger)
-        provenance = search_provenance(search)
         prior = len(ledger.lookup(provenance))
         entry = ledger.record(
             provenance=provenance,

@@ -19,12 +19,13 @@ quiescence must be reachable from every state — which
 Since the unified-engine refactor this module is a thin adapter: the
 composition lives in :class:`repro.engine.ComposedSystem`, and the
 search itself — interned state store, frontier strategy, caps, the
-cooperative ``should_stop`` hook, checkpointable pause state — in
-:class:`repro.engine.SearchEngine`.  :class:`ProductSearch` keeps its
-historical surface: a resumable object whose ``run`` can be halted by
-a budget hook (:mod:`repro.harness.budget`) mid-frontier, pickled
-(:mod:`repro.harness.checkpoint`) and continued exactly where it
-stopped.  :func:`explore_product` remains the one-shot functional
+cooperative ``should_stop`` hook, the snapshot/restore pair behind
+checkpoints — in :class:`repro.engine.SearchEngine`.
+:class:`ProductSearch` keeps its historical surface: a resumable
+object whose ``run`` can be halted by a budget hook
+(:mod:`repro.harness.budget`) mid-frontier, checkpointed as a data
+record (:mod:`repro.harness.checkpoint`) and continued exactly where
+it stopped.  :func:`explore_product` remains the one-shot functional
 entry point.
 """
 
@@ -75,15 +76,11 @@ def _replay(
     protocol: Protocol,
     st_order: Optional[STOrderGenerator],
     actions: List[Action],
-    model=None,
+    model,
 ) -> Tuple[Tuple, str]:
     """Re-execute a run to recover the emitted symbols and the first
-    checker violation message, judged under ``model`` (default SC,
-    with the strongest checker the model supports)."""
-    if model is None:
-        from ..models.sc import SequentialConsistency
-
-        model = SequentialConsistency()
+    checker violation message, judged under ``model`` (with the
+    strongest checker the model supports)."""
     observer = model.make_observer(protocol, st_order, self_check=True)
     checker = model.make_checker("full" if "full" in model.modes else "fast")
     state = protocol.initial_state()
@@ -112,10 +109,11 @@ class ProductSearch:
 
     Construct, then call :meth:`run` — repeatedly, if a ``should_stop``
     hook halts it.  Between calls the underlying engine holds the full
-    frontier, interned-state store and parent pointers, so it can be
-    pickled to disk and resumed in another process (all state is plain
-    data; only protocols whose ST-order generator captures a lambda
-    resist pickling).
+    frontier, interned-state store and parent pointers; a checkpoint
+    records the constructor arguments plus
+    :meth:`~repro.engine.SearchEngine.snapshot`, and resumes in another
+    process by calling this constructor again and restoring the
+    snapshot into the fresh engine.
 
     ``st_order`` is a *template* generator — it is copied for the
     initial observer (``None`` = real-time ST order).  Caps make the
@@ -170,9 +168,12 @@ class ProductSearch:
         self.max_states = max_states
         self.max_depth = max_depth
         self.canonical_ids = canonical_ids
+        self.eager_free = eager_free
+        self.unpin_heads = unpin_heads
         self.reduce = reduce
         self.por = por
         self.strategy = strategy
+        self.seed = seed
         self.stop_on_violation = stop_on_violation
         # run policy: which backend interns the state keys — never
         # search provenance
@@ -212,25 +213,6 @@ class ProductSearch:
         )
         self.stats = self.engine.stats
 
-    def __setstate__(self, state):
-        # pre-reduction checkpoints pickled a ProductSearch without a
-        # reduce attribute (no CHECKPOINT_VERSION bump); they load as
-        # the "off" level, which is what they were.  Pre-model-layer
-        # checkpoints likewise load as unbounded SC.
-        state.setdefault("reduce", "off")
-        state.setdefault("model", None)
-        state.setdefault("model_name", "sc")
-        state.setdefault("preemptions", None)
-        # pre-POR checkpoints load as --por off
-        state.setdefault("por", "off")
-        # pre-ledger checkpoints did not record the frontier policy or
-        # the stop discipline; default to the CLI defaults they ran with
-        state.setdefault("strategy", "bfs")
-        state.setdefault("stop_on_violation", True)
-        # pre-backend checkpoints interned in plain dicts: mem policy
-        state.setdefault("store_config", as_config(None))
-        self.__dict__.update(state)
-
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
@@ -246,7 +228,7 @@ class ProductSearch:
 
     def _record_por(self, telemetry) -> None:
         """Publish ``por.*`` gauges for this run, if reducing."""
-        sel = getattr(self.system, "por_selector", None)
+        sel = self.system.por_selector
         if telemetry is not None and sel is not None:
             telemetry.record_por(sel)
 
@@ -259,9 +241,7 @@ class ProductSearch:
         """Walk the parent pointers of the violating state ``sid`` back
         to the root and replay the run."""
         actions = self.engine.store.path_to(sid)
-        symbols, reason = _replay(
-            self.protocol, self.st_order, actions, getattr(self, "model", None)
-        )
+        symbols, reason = _replay(self.protocol, self.st_order, actions, self.model)
         return Counterexample(tuple(actions), symbols, reason)
 
     def run(

@@ -47,8 +47,8 @@ class ModelError(ValueError):
 class ConsistencyModel(abc.ABC):
     """One pluggable consistency condition.
 
-    Instances are plain picklable data: they ride inside
-    :class:`~repro.modelcheck.product.ProductSearch` checkpoints.
+    Instances are rebuilt by name (``--model``) on checkpoint resume,
+    so a model holds no state a checkpoint would have to carry.
     """
 
     #: registry name (``--model`` value); also the fingerprint's

@@ -8,8 +8,7 @@ protocol-independent checker (:class:`~repro.core.checker.Checker`,
 ``mode="full"``) or the cycle checker plus observer self-check
 (``mode="fast"``, Theorem 4.1).
 
-The classes themselves stay in :mod:`repro.core` — checkpoints pickled
-before the model layer reference them by that path — so this module is
+The classes themselves stay in :mod:`repro.core`, so this module is
 deliberately thin: it *names* the SC wiring, it does not move it.  The
 behaviour-preservation contract is enforced differentially: under
 ``--model sc`` every :class:`~repro.difftest.SearchFingerprint` field

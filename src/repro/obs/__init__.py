@@ -29,8 +29,7 @@ telemetry calls — the **zero-cost-off contract** (see
 ``docs/OBSERVABILITY.md``).
 
 This package also owns :class:`ExplorationStats`, the per-search
-counter dataclass historically split between ``repro.engine.stats``
-and ``repro.modelcheck.stats`` (both remain as import shims).
+counter dataclass.
 """
 
 from .flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder

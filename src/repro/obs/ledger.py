@@ -6,8 +6,9 @@ ledger holding:
 
 * ``hash`` — a canonical content hash of the run's **search
   provenance**: the :data:`PROVENANCE_FIELDS` subset of
-  :class:`repro.difftest.SearchFingerprint` (protocol / mode /
-  strategy / exhaustive / reduce / model / preemptions / por).
+  :class:`repro.difftest.SearchFingerprint` (protocol / ST-order
+  generator / mode / strategy / random-walk seed / exhaustive /
+  reduce / model / preemptions / por).
   Run *policy* — the state-store backend — is deliberately excluded:
   by the engine's determinism contract it cannot change what the
   search computes, so the same search under different policies hashes
@@ -38,6 +39,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Union
 
+from ..core.storder import describe_generator
+
 __all__ = [
     "PROVENANCE_FIELDS",
     "LedgerError",
@@ -52,8 +55,10 @@ __all__ = [
 #: as opposed to run policy (the store backend — not hashed)
 PROVENANCE_FIELDS = (
     "protocol",
+    "generator",
     "mode",
     "strategy",
+    "seed",
     "exhaustive",
     "reduce",
     "model",
@@ -88,12 +93,15 @@ def content_hash(provenance: Mapping[str, object]) -> str:
 def search_provenance(search) -> Dict[str, object]:
     """Extract the :data:`PROVENANCE_FIELDS` from a live
     :class:`~repro.modelcheck.product.ProductSearch` (fresh or resumed
-    from a checkpoint)."""
+    from a checkpoint).  The seed only steers the random walk, so it is
+    recorded as ``None`` under every other strategy."""
     return {
         "protocol": search.protocol.describe(),
+        "generator": describe_generator(search.st_order),
         "mode": search.mode,
-        "strategy": getattr(search, "strategy", "bfs"),
-        "exhaustive": not getattr(search, "stop_on_violation", True),
+        "strategy": search.strategy,
+        "seed": search.seed if search.strategy == "random-walk" else None,
+        "exhaustive": not search.stop_on_violation,
         "reduce": search.reduce,
         "model": search.model_name,
         "preemptions": search.preemptions,

@@ -1,10 +1,7 @@
 """Exploration statistics — the counters every search fills in.
 
-Historically these lived in ``repro.engine.stats`` (and before that in
-``repro.modelcheck.stats``); both module paths remain as deprecated
-re-export shims so existing imports — and checkpoints pickled under
-the old module paths — keep loading.  The dataclass itself now lives with the rest of the
-telemetry layer (:mod:`repro.obs`), next to the
+The dataclass lives with the rest of the telemetry layer
+(:mod:`repro.obs`), next to the
 :class:`~repro.obs.metrics.MetricsRegistry` that aggregates it.
 """
 
@@ -33,7 +30,7 @@ class ExplorationStats:
     peak_frontier: int = 0
     #: states interned in the engine's StateStore; like
     #: ``peak_frontier`` it survives checkpoint/resume because the
-    #: stats object travels with the pickled search
+    #: checkpoint records every counter
     interned_states: int = 0
     #: why a cooperative ``should_stop`` hook halted the search (None
     #: for cap truncation and for exhaustive runs)

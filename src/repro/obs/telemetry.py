@@ -10,10 +10,10 @@ made on a hot path, which is the zero-overhead contract tier-1
 timings rely on.
 
 Telemetry is deliberately **not** stored on search engines or
-``ProductSearch`` objects: those are pickled into checkpoints, and a
-telemetry handle (open file, stderr stream) must not travel with
-them.  It is threaded through ``run(...)`` calls instead, so a
-resumed checkpoint attaches a fresh handle.
+``ProductSearch`` objects: a search outlives any one leg of a budgeted
+run, and a telemetry handle (open file, stderr stream) belongs to the
+leg.  It is threaded through ``run(...)`` calls instead, so a resumed
+checkpoint attaches a fresh handle.
 """
 
 from __future__ import annotations

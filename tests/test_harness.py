@@ -33,6 +33,7 @@ from repro.memory import (
     SerialMemory,
     lazy_caching_st_order,
 )
+from repro.harness.checkpoint import CHECKPOINT_VERSION
 from repro.modelcheck.product import ProductSearch
 from repro.obs.stats import ExplorationStats
 
@@ -112,26 +113,6 @@ def test_checkpoint_roundtrip(tmp_path):
     assert cp.elapsed_s == 1.5
 
 
-def test_pre_reduction_checkpoint_resumes_with_level_off(tmp_path):
-    # checkpoints written before the symmetry-reduction layer pickled
-    # ProductSearch / ComposedSystem without the reduce / reduction
-    # attributes (CHECKPOINT_VERSION was deliberately not bumped);
-    # they must load as --reduce off and resume to a verdict
-    search = ProductSearch(MSIProtocol(p=2, b=1, v=2), mode="fast")
-    search.run(Budget(states=30).start().should_stop)
-    del search.__dict__["reduce"]
-    del search.system.__dict__["reduce"]
-    del search.system.__dict__["reduction"]
-    path = tmp_path / "old.ckpt"
-    Checkpoint.of(search).save(str(path))
-    cp = Checkpoint.load(str(path))
-    assert cp.search.reduce == "off"
-    assert cp.search.system.reduction is None
-    cp.search._record_reduction(None)  # reads system.reduction unguarded
-    res = cp.search.run()  # every step goes through ComposedSystem.key
-    assert res.ok
-
-
 def test_checkpoint_load_rejects_non_checkpoint(tmp_path):
     path = tmp_path / "junk.ckpt"
     with open(path, "wb") as fh:
@@ -171,7 +152,7 @@ def test_checkpoint_lazy_caching_factory_now_picklable(tmp_path):
     path = tmp_path / "lazy.ckpt"
     Checkpoint.of(search).save(str(path))
     cp = Checkpoint.load(str(path))
-    res = cp.search.run()
+    res = cp.resume().run()
     assert res.ok
 
 
@@ -420,7 +401,7 @@ def test_v2_checkpoint_refuses_parallel_resume(tmp_path):
         checkpoint_path=str(path),
     )
     assert not res.complete
-    assert Checkpoint.load(str(path)).version == 2
+    assert Checkpoint.load(str(path)).version == CHECKPOINT_VERSION
     # the search has one engine, so a resume takes no worker count
     with pytest.raises(TypeError, match="workers"):
         run_verification(resume_from=str(path), workers=2)
@@ -449,3 +430,130 @@ def test_sharded_engine_checkpoint_is_a_clean_error(tmp_path, capsys):
         Checkpoint.load(str(path))
     assert main(["verify", "--resume", str(path)]) == 2
     assert "error:" in capsys.readouterr().out
+
+
+# ------------------------------------------- the record: data, not objects
+
+
+class _TouchOnLoad:
+    """Unpickling this opens (creates) ``path``: a stand-in for any
+    payload that runs code when a pickled object graph is loaded."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def test_loading_a_checkpoint_runs_no_code(tmp_path, capsys):
+    marker = tmp_path / "marker"
+    path = tmp_path / "evil.ckpt"
+    path.write_bytes(_framed(pickle.dumps(_TouchOnLoad(str(marker)))))
+    with pytest.raises(CheckpointError, match="open"):
+        Checkpoint.load(str(path))
+    assert main(["verify", "--resume", str(path)]) == 2
+    assert "error:" in capsys.readouterr().out
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("kind", ["pickled-v2", "headerless", "record-v3"])
+def test_checkpoints_from_older_builds_are_clean_errors(kind, tmp_path, capsys):
+    # versions 2 and 3 pickled the live search; a version-3 record, or
+    # a file without the integrity frame, is refused just as cleanly
+    old = b"\x80\x04crepro.harness.checkpoint\nCheckpoint\n)\x81."
+    data = {
+        "pickled-v2": _framed(old),
+        "headerless": old,
+        "record-v3": _framed(pickle.dumps({"version": 3})),
+    }[kind]
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(data)
+    with pytest.raises(CheckpointError):
+        Checkpoint.load(str(path))
+    assert main(["verify", "--resume", str(path)]) == 2
+    assert "error:" in capsys.readouterr().out
+
+
+def test_checkpoint_refuses_a_protocol_the_registry_cannot_rebuild(tmp_path):
+    search = ProductSearch(MSIProtocol(p=2, b=1, v=1, allow_evict=False), mode="fast")
+    search.run(Budget(states=10).start().should_stop)
+    path = tmp_path / "msi.ckpt"
+    with pytest.raises(CheckpointError, match="registry"):
+        Checkpoint.of(search).save(str(path))
+    assert not path.exists()
+
+
+def test_resume_verifies_every_rebuilt_key(tmp_path):
+    from repro.harness import checkpoint as ckpt
+
+    path = _saved_checkpoint(tmp_path)
+    cp = Checkpoint.load(str(path))
+    cols = cp.engine["store"]
+    # a frontier state whose recorded path ends in a different action
+    frontier = cp.engine["frontier"][-1]
+    other = next(
+        a for a in cols["action"][1:] if a is not None and a != cols["action"][frontier]
+    )
+    cols["action"][frontier] = other
+    with pytest.raises(CheckpointError, match="does not rebuild"):
+        cp.resume()
+    # an initial state whose stored key differs from the rebuilt one
+    cp = Checkpoint.load(str(path))
+    keys = cp.engine["store"]["keys"]
+    first = ckpt._loads(keys[0])
+    first[0] = ("not", "the", "root")
+    keys[0] = ckpt._dumps(first)
+    with pytest.raises(CheckpointError, match="initial state"):
+        cp.resume()
+
+
+def test_resume_names_every_mismatching_flag_in_one_error(tmp_path):
+    cp = tmp_path / "run.ckpt"
+    run_verification(
+        MSIProtocol(p=2, b=1, v=1), budget=Budget(states=50), checkpoint_path=str(cp)
+    )
+    with pytest.raises(CheckpointError, match="--reduce off, --por off"):
+        run_verification(resume_from=str(cp), reduce="full", por="on")
+    # omitted flags inherit the checkpoint's values
+    assert run_verification(resume_from=str(cp), reduce="off").complete
+
+
+#: a pairwise covering set over strategy × reduce × por × store: every
+#: pair of values of any two axes appears in some row
+PAIRWISE = [
+    ("bfs", "off", "off", "mem"),
+    ("bfs", "full", "on", "disk"),
+    ("dfs", "off", "on", "disk"),
+    ("dfs", "full", "off", "mem"),
+    ("random-walk", "off", "off", "disk"),
+    ("random-walk", "full", "on", "mem"),
+]
+
+
+@pytest.mark.parametrize("strategy,reduce,por,store", PAIRWISE)
+def test_stop_and_resume_keeps_the_fingerprint(strategy, reduce, por, store, tmp_path):
+    from repro.difftest import search_fingerprint
+    from repro.engine.intern import StoreConfig
+
+    cfg = StoreConfig(kind="disk", cap_keys=16, dir=str(tmp_path)) if store == "disk" else None
+
+    def search():
+        return ProductSearch(
+            LazyCachingProtocol(p=2, b=1, v=1), lazy_caching_st_order(),
+            mode="fast", strategy=strategy, seed=7, reduce=reduce, por=por,
+            stop_on_violation=False, store=cfg,
+        )
+
+    whole = search_fingerprint(search())
+    paused = search()
+    paused.run(Budget(states=whole.states // 2).start().should_stop)
+    assert not paused.done
+    path = str(tmp_path / "run.ckpt")
+    Checkpoint.of(paused).save(path)
+    resumed = Checkpoint.load(path).resume()  # the store is inherited
+    assert resumed.engine.store.backend_kind == store
+    if cfg is not None:
+        # keys stream into the disk store; they are never all resident
+        assert resumed.engine.store.store_stats()["resident_keys"] <= 16
+    assert search_fingerprint(resumed) == whole

@@ -28,8 +28,10 @@ from repro.obs.ledger import (
 
 PROV = {
     "protocol": "MSIProtocol(p=2, b=1, v=2, L=3)",
+    "generator": "real-time",
     "mode": "fast",
     "strategy": "bfs",
+    "seed": None,
     "exhaustive": False,
     "reduce": "off",
     "model": "sc",
@@ -72,9 +74,59 @@ def test_content_hash_missing_fields_default_to_none():
     ("model", "causal"),
     ("preemptions", 2),
     ("por", "on"),
+    ("generator", "write-order(memory-write)"),
+    ("seed", 3),
 ])
 def test_every_provenance_field_perturbs_the_hash(field, value):
     assert content_hash(dict(PROV, **{field: value})) != content_hash(PROV)
+
+
+def _provenance(protocol, st_order=None, **kw):
+    from repro.modelcheck.product import ProductSearch
+    from repro.obs.ledger import search_provenance
+
+    return search_provenance(ProductSearch(protocol, st_order, mode="fast", **kw))
+
+
+def test_generator_and_walk_seed_are_search_provenance():
+    # the same protocol under two ST-order generators is two different
+    # products (lazy caching verifies under write order, is refuted
+    # under real-time order); two random walks with different seeds
+    # explore different state sets — neither pair may share a hash
+    from repro.memory import LazyCachingProtocol, lazy_caching_st_order
+
+    lazy = LazyCachingProtocol(p=2, b=1, v=1)
+    write_order = _provenance(lazy, lazy_caching_st_order())
+    real_time = _provenance(lazy)
+    assert write_order["generator"] == "write-order(memory-write)"
+    assert real_time["generator"] == "real-time"
+    assert content_hash(write_order) != content_hash(real_time)
+
+    walks = {
+        content_hash(_provenance(BuggyMSIProtocol(p=2, b=1, v=1),
+                                 strategy="random-walk", seed=seed))
+        for seed in (0, 1, 2)
+    }
+    assert len(walks) == 3
+    # the seed steers nothing else, so it is not provenance there
+    bfs = [_provenance(SerialMemory(p=2, b=1, v=2), seed=seed) for seed in (0, 1)]
+    assert bfs[0]["seed"] is None
+    assert content_hash(bfs[0]) == content_hash(bfs[1])
+
+
+def test_ledger_lines_from_before_the_generator_field_still_read(tmp_path):
+    path = tmp_path / "led.jsonl"
+    old = dict(PROV)
+    del old["generator"], old["seed"]
+    path.write_text(json.dumps({
+        "hash": "0" * 64, "verdict": "SC", "provenance": old, "states": 4,
+    }) + "\n")
+    led = RunLedger(str(path))
+    (entry,) = led.entries()
+    assert entry.provenance == old and entry.states == 4
+    assert led.lookup("0000") == [entry]
+    led.record(provenance=PROV, verdict="SC")
+    assert len(led.entries()) == 2
 
 
 # ------------------------------------------------- record/lookup/entries

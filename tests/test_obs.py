@@ -9,7 +9,6 @@ The two contracts under test here (docs/OBSERVABILITY.md):
 """
 
 import io
-import pickle
 
 import pytest
 
@@ -208,65 +207,6 @@ def test_tracing_does_not_change_the_verdict_or_counts():
     assert traced.stats.quiescent_states == plain.stats.quiescent_states
     # the search always lands in the registry
     assert t.registry.snapshot().gauges["search.states"] == plain.stats.states
-
-
-# --------------------------------------------------- deprecated stat shims
-
-
-def test_stats_shims_are_the_same_class():
-    from repro.engine import stats as engine_stats
-    from repro.modelcheck import stats as mc_stats
-
-    assert engine_stats.ExplorationStats is ExplorationStats
-    assert mc_stats.ExplorationStats is ExplorationStats
-
-
-def test_stats_shims_export_only_what_pickles_reference():
-    # pickles reference classes, never free functions, so the shims
-    # carry ExplorationStats alone — merge_shard_stats lives only at
-    # its canonical home, repro.obs.stats
-    from repro.engine import stats as engine_stats
-    from repro.modelcheck import stats as mc_stats
-
-    for shim in (engine_stats, mc_stats):
-        assert shim.__all__ == ["ExplorationStats"]
-        assert not hasattr(shim, "merge_shard_stats")
-
-
-def test_stats_shims_warn_exactly_once_per_import():
-    # module-level DeprecationWarning, emitted once per interpreter —
-    # force a fresh import to observe it regardless of test order
-    import importlib
-    import sys
-    import warnings as _warnings
-
-    for name in ("repro.engine.stats", "repro.modelcheck.stats"):
-        sys.modules.pop(name, None)
-        with pytest.warns(DeprecationWarning, match="repro.obs.stats") as rec:
-            importlib.import_module(name)
-        assert len(rec) == 1
-        # re-importing the cached module must not warn again
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            importlib.import_module(name)
-
-
-def test_stats_pickled_under_old_module_paths_load():
-    # old checkpoints pickled ExplorationStats under repro.engine.stats;
-    # unpickling resolves that module path via the shim, so they keep
-    # loading after the move
-    s = ExplorationStats(states=3, transitions=9)
-    blob = pickle.dumps(s)
-    assert b"repro.obs.stats" in blob  # the canonical home
-    assert pickle.loads(blob) == s
-
-    # a protocol-0 pickle of `module.ExplorationStats()` as an old
-    # checkpoint would reference it: GLOBAL + EMPTY_TUPLE + REDUCE
-    for module in (b"repro.engine.stats", b"repro.modelcheck.stats"):
-        old_blob = b"c" + module + b"\nExplorationStats\n)R."
-        loaded = pickle.loads(old_blob)
-        assert type(loaded) is ExplorationStats
-        assert loaded == ExplorationStats()
 
 
 # ------------------------------------------------- budget burn: both axes

@@ -341,27 +341,6 @@ def test_por_level_is_search_state_on_the_checkpoint(tmp_path):
     assert resumed.stats.transitions == fresh.stats.transitions
 
 
-def test_pre_por_checkpoint_resumes_with_level_off(tmp_path):
-    # checkpoints written before the POR layer pickled ProductSearch /
-    # ComposedSystem without the por attributes (CHECKPOINT_VERSION
-    # deliberately not bumped); they load as --por off and resume
-    from repro.harness import Checkpoint
-    from repro.modelcheck.product import ProductSearch
-
-    search = ProductSearch(MSIProtocol(p=2, b=1, v=2), mode="fast")
-    search.run(Budget(states=30).start().should_stop)
-    del search.__dict__["por"]
-    del search.system.__dict__["por"]
-    del search.system.__dict__["por_selector"]
-    path = tmp_path / "old.ckpt"
-    Checkpoint.of(search).save(str(path))
-    cp = Checkpoint.load(str(path))
-    assert cp.search.por == "off"
-    assert cp.search.system.por_selector is None
-    res = cp.search.run()
-    assert res.ok
-
-
 def test_por_gauges_published_when_reducing():
     from repro.core.verify import verify_protocol
     from repro.obs import MetricsRegistry, Telemetry

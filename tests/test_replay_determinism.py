@@ -8,9 +8,7 @@ both verdict polarities:
 * **MSI** (sequentially consistent) through the full file
   checkpoint/resume path of :func:`run_verification`;
 * **TSO store buffer** (a real SC violation) through in-place
-  stop/resume of a single :class:`ProductSearch` — its ST-order
-  generator captures a closure and so cannot be pickled, which is
-  itself asserted by ``test_harness``.
+  stop/resume of a single :class:`ProductSearch`.
 
 The second half fuzzes the search engine on seeded random-DAG
 workloads (:class:`SeededDagSystem`): across seeds, every canonical

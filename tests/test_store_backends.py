@@ -6,10 +6,9 @@ state counts, counterexamples and
 ``SearchFingerprint``s are bit-identical between the all-in-RAM
 ``mem`` backend and the spill-to-disk ``disk`` backend at any
 resident budget, down to a 16-key cap that forces constant
-evict-and-reread thrash.  Plus the durability half: a checkpoint
-written under ``--store disk`` references its spill files by path, so
-a missing, torn or CRC-damaged spill file must surface as a clean
-:class:`CheckpointError` (CLI exit 2), never a corrupt resume.
+evict-and-reread thrash.  Plus the checkpoint half: a checkpoint
+written under one backend resumes under either, and the spill
+directories never outlive the process that made them.
 """
 
 import glob
@@ -30,12 +29,7 @@ from repro.engine.intern import (
     as_config,
     make_backend,
 )
-from repro.harness import (
-    Budget,
-    Checkpoint,
-    CheckpointError,
-    run_verification,
-)
+from repro.harness import Budget, run_verification
 
 #: a resident cap small enough that every protocol in the fast tier
 #: spills constantly — the thrash regime the invariance must survive
@@ -101,6 +95,15 @@ def test_disk_matches_mem_on_random_interleavings(tmp_path):
     assert stats["spill_bytes"] > 0
 
 
+def _converted(store, config):
+    """``store`` moved into a fresh store under ``config`` the way a
+    checkpoint resume moves it: root first, then the columns."""
+    new = StateStore(config)
+    new.intern(store.key_of(0))
+    new.load_columns(store.columns(chunk=7))
+    return new
+
+
 def test_store_facade_converted_round_trip(tmp_path):
     """mem→disk→mem conversion preserves every ID, key and column."""
     cfg = StoreConfig(kind="disk", cap_keys=4, dir=str(tmp_path))
@@ -110,8 +113,8 @@ def test_store_facade_converted_round_trip(tmp_path):
         sid, new = store.intern(k)
         if new and sid > 0:
             store.set_parent(sid, rng.randrange(sid), f"a{i}")
-    disk = store.converted(cfg)
-    back = disk.converted(None)
+    disk = _converted(store, cfg)
+    back = _converted(disk, None)
     for s in (disk, back):
         assert len(s) == len(store)
         for sid in range(len(store)):
@@ -120,6 +123,7 @@ def test_store_facade_converted_round_trip(tmp_path):
             assert s.depth_of(sid) == store.depth_of(sid)
             assert s.path_to(sid) == store.path_to(sid)
     assert disk.backend_kind == "disk" and back.backend_kind == "mem"
+    assert disk.store_stats()["resident_keys"] <= 4
 
 
 def test_as_config_rejects_unknown_kind():
@@ -195,39 +199,6 @@ def test_resume_migrates_backend_both_ways(tmp_path):
         assert res.stats.states == full.stats.states
 
 
-def _spill_log(tmp_path):
-    logs = glob.glob(str(tmp_path / "repro-store-*" / "*.log"))
-    assert logs, "disk backend wrote no spill log"
-    return logs[0]
-
-
-def test_torn_spill_file_is_checkpoint_error(tmp_path, capsys):
-    cfg = StoreConfig(kind="disk", cap_keys=16, dir=str(tmp_path))
-    cp = _truncated_run(tmp_path, "torn", cfg)
-    log = _spill_log(tmp_path)
-    with open(log, "r+b") as fh:
-        fh.truncate(os.path.getsize(log) - 7)
-    with pytest.raises(CheckpointError, match="torn"):
-        Checkpoint.load(cp)
-    code = main(["verify", "--resume", cp])
-    assert code == 2
-    assert "error:" in capsys.readouterr().out
-
-
-def test_crc_damaged_spill_file_is_checkpoint_error(tmp_path, capsys):
-    cfg = StoreConfig(kind="disk", cap_keys=16, dir=str(tmp_path))
-    cp = _truncated_run(tmp_path, "crc", cfg)
-    log = _spill_log(tmp_path)
-    with open(log, "r+b") as fh:
-        fh.seek(os.path.getsize(log) // 2)
-        fh.write(b"\xff\xff\xff\xff")
-    with pytest.raises(CheckpointError, match="corrupt"):
-        Checkpoint.load(cp)
-    code = main(["verify", "--resume", cp])
-    assert code == 2
-    assert "error:" in capsys.readouterr().out
-
-
 def _cli(tmp_path, *argv):
     """Run the CLI in a fresh interpreter whose temp dir is
     ``tmp_path``, so the spill directories it leaves are observable."""
@@ -249,26 +220,21 @@ def test_disk_store_removes_its_spill_dir(tmp_path):
     assert _spill_dirs(tmp_path) == []
 
 
-def test_checkpointed_spill_dir_survives_for_resume(tmp_path):
+def test_checkpointed_run_removes_its_spill_dir(tmp_path):
+    # a checkpoint carries the interned keys themselves, so the spill
+    # directory goes at exit even when a checkpoint was written
     cp = str(tmp_path / "run.ckpt")
     proc = _cli(
         tmp_path, "verify", "msi", "--v", "1", "--store", "disk",
         "--budget-states", "100", "--checkpoint", cp,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert len(_spill_dirs(tmp_path)) == 1  # the checkpoint references it
+    assert _spill_dirs(tmp_path) == []
     resumed = _cli(tmp_path, "verify", "--resume", cp)
     fresh = _cli(tmp_path, "verify", "msi", "--v", "1")
     assert resumed.returncode == fresh.returncode == 0
     assert resumed.stdout.splitlines()[0] == fresh.stdout.splitlines()[0]
-
-
-def test_missing_spill_file_is_checkpoint_error(tmp_path):
-    cfg = StoreConfig(kind="disk", cap_keys=16, dir=str(tmp_path))
-    cp = _truncated_run(tmp_path, "gone", cfg)
-    os.unlink(_spill_log(tmp_path))
-    with pytest.raises(CheckpointError):
-        Checkpoint.load(cp)
+    assert _spill_dirs(tmp_path) == []
 
 
 # --------------------------------------------------- spill-thrash property

@@ -248,3 +248,25 @@ def test_cli_metrics_summarises_a_torn_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "in progress" in out or "partial" in out
+
+
+def test_resumed_run_start_reports_the_checkpointed_search(tmp_path):
+    # run_start on resume carries the checkpoint's provenance, not the
+    # defaults of the resuming call
+    cp = str(tmp_path / "dfs.ckpt")
+    run_verification(
+        MSIProtocol(p=2, b=1, v=1), strategy="dfs", por="on",
+        budget=Budget(states=50), checkpoint_path=cp,
+    )
+    path = tmp_path / "resume.jsonl"
+    telemetry = Telemetry(trace=TraceWriter.open(str(path)))
+    try:
+        run_verification(resume_from=cp, telemetry=telemetry)
+    finally:
+        telemetry.close()
+    start = read_trace(str(path))[0]
+    assert start["ev"] == "run_start" and start["resumed"] is True
+    assert start["strategy"] == "dfs"
+    assert start["por"] == "on"
+    assert start["generator"] == "real-time"
+    assert start["protocol"] == MSIProtocol(p=2, b=1, v=1).describe()
