@@ -297,10 +297,13 @@ def main(argv=None) -> int:
     # the telemetry layer now; this script only measures
     from repro.obs.bench import build_record, write_record
 
+    # first, while this process is small: Linux carries ru_maxrss
+    # across exec, so a child spawned after the in-process workloads
+    # below would report this process's high-water mark as its own
+    store = time_store_subprocess()
     current = time_workloads_inprocess(args.rounds)
     reduction = time_reduction_inprocess()
     por = time_por_inprocess()
-    store = time_store_subprocess()
 
     previous = {}
     if args.output.exists():

@@ -30,10 +30,13 @@ over a pluggable **key backend**
 * :class:`DiskBackend` (``--store disk``) spills interned keys to an
   append-only CRC-framed key log with an mmap'd open-addressing hash
   index, keeping only a bounded *resident* dict of hot keys in RAM
-  (``--store-budget-mb``).  Columns are ``array``-backed.  The spill
-  files are scratch space owned by one backend instance: they are
-  removed when it goes away, and a torn or corrupted frame read back
-  mid-search surfaces as :class:`StoreError`.
+  (``--store-budget-mb``).  The index is keyed by the built-in
+  in-process ``hash`` — the hash the mem backend's dict uses, so both
+  backends agree on which keys are equal.  Columns are
+  ``array``-backed.  The spill files are scratch space owned by one
+  backend instance: they are removed when it goes away, and a torn or
+  corrupted frame read back mid-search surfaces as
+  :class:`StoreError`.
 
 The backend is **run policy**, never search provenance: which backend
 interned the keys cannot affect a single ID, count or verdict, and the
@@ -76,8 +79,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-from .sharding import key_hash64
 
 __all__ = [
     "NO_PARENT",
@@ -301,10 +302,12 @@ _FRAME = struct.Struct("<IQ")
 _IDX_MAGIC = b"RPSIDX1\0"
 #: index header after the magic: (slot count, interned key count)
 _IDX_HEADER = struct.Struct("<QQ")
-#: one open-addressing slot: (64-bit stable key hash, id + 1; 0 = empty)
+#: one open-addressing slot: (64-bit key hash, id + 1; 0 = empty)
 _IDX_SLOT = struct.Struct("<QQ")
 _IDX_BASE = len(_IDX_MAGIC) + _IDX_HEADER.size
 _IDX_MIN_SLOTS = 1024
+#: narrows the signed built-in ``hash`` to an unsigned 64-bit slot word
+_HASH_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
 
 class _PackedActions:
@@ -367,10 +370,20 @@ class DiskBackend:
       ``_lens`` (in-memory ``array('Q')``) locate each frame, so
       :meth:`key_of` is one seek + read.
     * ``keys.idx`` — open-addressing table of
-      ``(stable 64-bit key hash, id + 1)`` slots, memory-mapped.
-      A hash hit is verified against the real key (resident dict or a
-      log read) before it counts, so hash collisions cannot alias two
-      states.
+      ``(hash(key) mod 2**64, id + 1)`` slots, memory-mapped.
+      A hash hit is verified against the stored key (resident dict or
+      a log read) before it counts, so hash collisions cannot alias
+      two states.
+
+    The index uses Python's built-in ``hash``, which runs in C and
+    agrees with ``==`` by language contract — the same pair of
+    operations :class:`MemBackend`'s dict relies on, so keys that are
+    equal but differently typed (``(1, 0)`` and ``(True, 0)``) intern
+    to one ID on both backends.  ``hash`` of a string is salted per
+    process (``PYTHONHASHSEED``), which moves keys between slots but
+    never changes an ID: the index is scratch that lives and dies with
+    this backend instance, and nothing reads it from another process
+    (a checkpoint carries the keys themselves).
 
     RAM holds only the bounded *resident* dict (hot keys, FIFO
     eviction once ``budget_mb`` / ``cap_keys`` is exceeded) and the
@@ -548,8 +561,10 @@ class DiskBackend:
     # -- index ---------------------------------------------------------
 
     def _replace_index(self, nslots: int, pairs) -> None:
-        """Atomically rewrite the index file with ``pairs`` of
-        ``(hash, id + 1)`` in a table of ``nslots`` slots."""
+        """Rewrite the index file with ``pairs`` of ``(hash, id + 1)``
+        in a table of ``nslots`` slots.  In place and without
+        ``fsync``: the index is process scratch that nothing reads
+        after a crash."""
         data = bytearray(_IDX_BASE + nslots * _IDX_SLOT.size)
         data[: len(_IDX_MAGIC)] = _IDX_MAGIC
         _IDX_HEADER.pack_into(data, len(_IDX_MAGIC), nslots, self._count)
@@ -563,24 +578,25 @@ class DiskBackend:
                     _IDX_SLOT.pack_into(data, off, h, s1)
                     break
                 i = (i + 1) & mask
-        tmp = self._idx_path + ".tmp"
-        t0 = perf_counter()
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self._idx_path)
-        self._io_s += perf_counter() - t0
-        self._nslots = nslots
         was_open = self._mm is not None and self._pid == os.getpid()
         if was_open:
-            # remap the fresh inode
+            # unmap before the file changes size under the mapping
             self._mm.close()
             self._idxf.close()
+        t0 = perf_counter()
+        with open(self._idx_path, "wb") as f:
+            f.write(data)
+        self._io_s += perf_counter() - t0
+        self._nslots = nslots
+        if was_open:
             self._idxf = open(self._idx_path, "r+b")
             self._mm = mmap.mmap(self._idxf.fileno(), 0)
 
     def _index_lookup(self, h: int, key: Hashable) -> Optional[int]:
+        """The ID of ``key`` (hashed to ``h``), or ``None``.  A hit
+        admits the *stored* key to the resident set, so :meth:`key_of`
+        returns the first-interned key even when ``key`` is an equal
+        key of another type, exactly as the mem backend does."""
         mm = self._mm
         mask = self._nslots - 1
         i = h & mask
@@ -596,6 +612,7 @@ class DiskBackend:
                 if cand is None:
                     cand = self._read_key(sid)
                 if cand == key:
+                    self._admit(cand, sid)
                     return sid
             i = (i + 1) & mask
 
@@ -628,10 +645,9 @@ class DiskBackend:
         if sid is not None:
             return sid, False
         self._ensure_open()
-        h = key_hash64(key)
+        h = hash(key) & _HASH_MASK
         sid = self._index_lookup(h, key)
         if sid is not None:
-            self._admit(key, sid)
             return sid, False
         sid = self._count
         t0 = perf_counter()
@@ -662,10 +678,7 @@ class DiskBackend:
         if self._count == 0:
             return None
         self._ensure_open()
-        sid = self._index_lookup(key_hash64(key), key)
-        if sid is not None:
-            self._admit(key, sid)
-        return sid
+        return self._index_lookup(hash(key) & _HASH_MASK, key)
 
     def lookup_many(self, keys):
         return [self.lookup(k) for k in keys]

@@ -1,14 +1,16 @@
 """Stable structural hashing of canonical state keys.
 
-Two places need a hash of a state key that is the same in every
-interpreter and every run, which rules out Python's built-in ``hash``
-(``str.__hash__`` is salted per process via ``PYTHONHASHSEED``):
+Exhaustive-mode searches order their violating states by
+:func:`stable_hash` of the key, and differential fingerprints
+(:class:`~repro.difftest.SearchFingerprint`) record violating states
+as :func:`stable_hash` values, so the canonical violation a run reports
+and the fingerprint two runs compare depend neither on discovery order
+nor on the process.  Python's built-in ``hash`` cannot serve:
+``str.__hash__`` is salted per process via ``PYTHONHASHSEED``.
 
-* the disk store backend (:class:`~repro.engine.intern.DiskBackend`)
-  keys its on-disk open-addressing index with :func:`key_hash64`;
-* exhaustive-mode searches order their violating states by
-  :func:`stable_hash` of the key, so the canonical violation a run
-  reports does not depend on discovery order.
+(The disk store's spill index needs no such hash: it lives and dies
+with one process, so :class:`~repro.engine.intern.DiskBackend` keys it
+with the built-in ``hash``.)
 
 :func:`stable_hash` therefore hashes the key *structurally*: a 64-bit
 FNV-1a accumulation over the tree of tuples, with strings hashed by
@@ -29,7 +31,7 @@ from __future__ import annotations
 import zlib
 from typing import Hashable
 
-__all__ = ["stable_hash", "key_hash64"]
+__all__ = ["stable_hash"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -96,19 +98,7 @@ def _fold(h: int, obj) -> int:
 def _mix(h: int, v: int) -> int:
     h ^= v & _MASK
     h = (h * _FNV_PRIME) & _MASK
-    # one round of avalanche so low bits depend on high bits (the disk
-    # index masks off the low bits to pick a slot)
+    # one round of avalanche so low bits depend on high bits
     h ^= h >> 29
     return h
-
-
-def key_hash64(key: Hashable) -> int:
-    """``stable_hash`` narrowed to its documented contract: an
-    **unsigned 64-bit** structural hash, suitable as-is for fixed-width
-    on-disk slots.
-
-    The disk store backend (:class:`~repro.engine.intern.DiskBackend`)
-    keys its mmap'd open-addressing index with this.
-    """
-    return stable_hash(key) & _MASK
 

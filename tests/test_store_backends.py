@@ -95,6 +95,48 @@ def test_disk_matches_mem_on_random_interleavings(tmp_path):
     assert stats["spill_bytes"] > 0
 
 
+def test_disk_matches_mem_on_equal_keys_of_different_types(tmp_path):
+    """Keys that are ``==`` but differently typed are one key on both
+    backends, even after the first one spilled: the disk index must
+    agree with ``==`` the way the mem backend's dict does.  ``key_of``
+    returns the first-interned key on both."""
+    mem = make_backend(StoreConfig())
+    disk = make_backend(StoreConfig(kind="disk", cap_keys=1, dir=str(tmp_path)))
+    keys = [(1, 0), ("pad",), (True, 0), (1.0, 0), ("pad",), (1, False)]
+    got_mem = [mem.intern(k) for k in keys]
+    got_disk = [disk.intern(k) for k in keys]
+    assert [sid for sid, _ in got_mem] == [0, 1, 0, 0, 1, 0]
+    assert got_disk == got_mem
+    assert disk.lookup((True, 0.0)) == mem.lookup((True, 0.0)) == 0
+    for sid in range(len(mem)):
+        assert [type(x) for x in disk.key_of(sid)] == [
+            type(x) for x in mem.key_of(sid)
+        ]
+
+
+def test_disk_index_collisions_match_mem(tmp_path):
+    """Keys whose built-in hashes collide (CPython maps ``hash(-1)`` to
+    ``hash(-2)``, so ``(-1, i)`` and ``(-2, i)`` collide) land in a
+    shared probe chain; interleaved intern/lookup traffic over them
+    still yields mem's exact ``(id, is_new)`` sequence."""
+    assert hash((-1, 5)) == hash((-2, 5))
+    mem = make_backend(StoreConfig())
+    disk = make_backend(StoreConfig(kind="disk", cap_keys=1, dir=str(tmp_path)))
+    trace_mem, trace_disk = [], []
+    for i in range(40):
+        first, second = ((-1, i), (-2, i)) if i % 2 else ((-2, i), (-1, i))
+        for backend, trace in ((mem, trace_mem), (disk, trace_disk)):
+            trace.append(backend.lookup(second))
+            trace.append(backend.intern(first))
+            trace.append(backend.lookup(second))
+            trace.append(backend.intern(second))
+            trace.append(backend.intern(first))
+            trace.append(backend.lookup((-1, i // 2)))
+    assert trace_disk == trace_mem
+    stats = disk.store_stats()
+    assert stats["probes"] > stats["lookups"]
+
+
 def _converted(store, config):
     """``store`` moved into a fresh store under ``config`` the way a
     checkpoint resume moves it: root first, then the columns."""
