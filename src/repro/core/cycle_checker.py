@@ -14,7 +14,7 @@ job of :mod:`repro.core.checker`); only the ID dynamics matter.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs import Digraph, would_close_cycle
 from .descriptor import AddIdSym, EdgeSym, FreeIdSym, NodeSym, Symbol
@@ -111,6 +111,19 @@ class CycleChecker:
         """End-of-string verdict (Lemma 3.3: accept iff never rejected)."""
         return not self.rejected
 
+    # the checker contract shared with repro.core.checker.Checker: a
+    # safety automaton has no end-of-string conditions beyond "never
+    # rejected", so all three views agree
+    @property
+    def accepts_so_far(self) -> bool:
+        return not self.rejected
+
+    def accepts_at_end(self) -> bool:
+        return not self.rejected
+
+    def violations(self) -> List[str]:
+        return ["constraint-graph cycle"] if self.rejected else []
+
     # ------------------------------------------------------------------
     def fork(self) -> "CycleChecker":
         """Independent copy (for branching exploration)."""
@@ -159,21 +172,13 @@ class CycleChecker:
         if self.rejected:
             return ("REJECTED",)
         items = []
-        if canon is None:
-            for t, ids in self._idset.items():
-                if len(ids) == 1:
-                    (i,) = ids
-                    items.append(((i,), t))
-                else:
-                    items.append((tuple(sorted(ids)), t))
-        else:
-            get = canon.get
-            for t, ids in self._idset.items():
-                if len(ids) == 1:
-                    (i,) = ids
-                    items.append(((get(i, i),), t))
-                else:
-                    items.append((tuple(sorted(get(i, i) for i in ids)), t))
+        get = (canon or {}).get
+        for t, ids in self._idset.items():
+            if len(ids) == 1:
+                (i,) = ids
+                items.append(((get(i, i),), t))
+            else:
+                items.append((tuple(sorted(get(i, i) for i in ids)), t))
         # ID-sets are disjoint, so the renamed tuples are distinct and
         # the (tuple, token) sort never reaches the token tiebreak
         items.sort()

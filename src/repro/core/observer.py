@@ -379,32 +379,62 @@ class Observer:
             keys = self._loc_keys = tuple(sorted(self._loc))
         return keys
 
-    def _fused_canonical(self) -> None:
-        """Build the canonical renaming *and* the state key in one
-        fused walk, caching both until the next mutation.
+    def _walk(self, perm) -> Tuple[Dict[int, int], Tuple]:
+        """The canonical renaming *and* the state key, in one walk.
 
-        The two used to be separate passes that each re-sorted the same
-        role slots; key construction is the verification hot spot
-        (DESIGN.md §5), so the walk is shared — and for the slots whose
+        ``perm`` is ``None`` for this observer's own key, or a
+        :class:`~repro.engine.reduction.Permutation`: the snapshot this
+        observer *would* produce had the whole run been permuted by it
+        — the symmetry layer's bridge between the group action and the
+        canonical descriptor-ID renaming.  No permuted copy is built.
+        Descriptor IDs and handles are allocation-order artifacts
+        carrying no sort content, and a permuted run fires the image of
+        each rule in the same order, so the permuted observer's state
+        *is* this state with role-slot indices and operation payloads
+        mapped through ``perm``.  Each sort-indexed slot therefore picks
+        its items once (the dict's own, or their images) and the rest
+        of the walk is shared.
+
+        The walk names IDs as it builds the key: for the slots whose
         visit order is the key order (locations, processors, blocks,
-        pending ⊥ obligations) the key part is assembled *during* the
-        naming walk: ``canon.setdefault`` returns a handle's canonical
-        number, which is final the moment the handle is first visited,
-        so no second rename pass is needed.  Only the slots the key
-        re-sorts by *renamed* ID (STo successors, pending tracked
-        loads) wait for the completed renaming.
+        pending ⊥ obligations) ``canon.setdefault`` returns a handle's
+        canonical number, which is final the moment the handle is first
+        visited, so no second rename pass is needed.  Only the slots
+        the key re-sorts by *renamed* ID (STo successors, pending
+        tracked loads) wait for the completed renaming.
         """
         _id = self._id
         canon: Dict[int, int] = {}
         # visit = canon.setdefault(id, len(canon)): the default is
         # evaluated before a possible insert, so it names fresh IDs
-        # 0..n-1 in first-visited order, exactly like the old visit().
-        # The visit order is observable (it fixes the renaming) and
-        # must not change; slots of size ≤ 1 skip their sort outright —
-        # at small (p, b) that is most of them on most steps.
+        # 0..n-1 in first-visited order.  The visit order is observable
+        # (it fixes the renaming) and must not change; slots of size
+        # ≤ 1 skip their sort outright — at small (p, b) that is most
+        # of them on most steps.
         name = canon.setdefault
+        _loc = self._loc
+        if perm is None:
+            loc_handles = [_loc[l] for l in self._loc_order()]
+            procs = self._last_of_proc.items()
+            tails = self._tail_of_block.items()
+            heads = self._head_of_block.items()
+            ploads = self._pending_load.items()
+            pbots = self._pending_bottom.items()
+            dead = self._bottom_dead
+        else:
+            pp, pb, vmap, loc_inv = perm.proc, perm.block, perm.vmap, perm.loc_inv
+            # location l' of the permuted run is concrete slot loc_inv[l'-1]
+            loc_handles = [_loc[loc_inv[l - 1]] for l in self._loc_order()]
+            procs = [(pp[p - 1], h) for p, h in self._last_of_proc.items()]
+            tails = [(pb[b - 1], h) for b, h in self._tail_of_block.items()]
+            heads = [(pb[b - 1], h) for b, h in self._head_of_block.items()]
+            ploads = [((pp[p - 1], s), h) for (p, s), h in self._pending_load.items()]
+            pbots = [
+                ((pp[p - 1], pb[b - 1]), h)
+                for (p, b), h in self._pending_bottom.items()
+            ]
+            dead = [pb[b - 1] for b in self._bottom_dead]
 
-        loc_handles = [self._loc[l] for l in self._loc_order()]
         if self.self_check:
             _op = self._op
             loc_data_l = []
@@ -415,7 +445,11 @@ class Observer:
                     loc_part_l.append(None)
                 else:
                     op = _op[h]
-                    loc_data_l.append((op.block, op.value))
+                    loc_data_l.append(
+                        (op.block, op.value)
+                        if perm is None
+                        else (pb[op.block - 1], vmap[op.value])
+                    )
                     loc_part_l.append(name(_id[h], len(canon)))
             loc_data: Tuple = tuple(loc_data_l)
             loc_part = tuple(loc_part_l)
@@ -425,22 +459,19 @@ class Observer:
                 None if h is None else name(_id[h], len(canon))
                 for h in loc_handles
             )
-        d = self._last_of_proc
         proc_part = tuple(
             (p, name(_id[h], len(canon)))
-            for p, h in (sorted(d.items()) if len(d) > 1 else d.items())
+            for p, h in (sorted(procs) if len(procs) > 1 else procs)
         )
-        d = self._tail_of_block
         tail_part = tuple(
             (b, name(_id[h], len(canon)))
-            for b, h in (sorted(d.items()) if len(d) > 1 else d.items())
+            for b, h in (sorted(tails) if len(tails) > 1 else tails)
         )
-        d = self._head_of_block
         head_part = tuple(
             (b, name(_id[h], len(canon)))
-            for b, h in (sorted(d.items()) if len(d) > 1 else d.items())
+            for b, h in (sorted(heads) if len(heads) > 1 else heads)
         )
-        for h in self.gen.ordered_handles():
+        for h in self.gen.ordered_handles(perm):
             name(_id[h], len(canon))
         succ = self._succ
         if succ:
@@ -469,23 +500,19 @@ class Observer:
                     if iv not in canon:
                         canon[iv] = len(canon)
                         queue.append(iv)
-        pload = self._pending_load
-        if pload:
-            if len(pload) > 1:
+        if ploads:
+            if len(ploads) > 1:
                 # canonical sort: tracked source's canonical number,
                 # never its raw ID (sources are live STs, named above)
                 get = canon.get
-                for key in sorted(
-                    pload, key=lambda k: (k[0], get(_id[k[1]], 1 << 60))
-                ):
-                    name(_id[pload[key]], len(canon))
-            else:
-                for h in pload.values():
-                    name(_id[h], len(canon))
-        d = self._pending_bottom
+                ploads = sorted(
+                    ploads, key=lambda e: (e[0][0], get(_id[e[0][1]], 1 << 60))
+                )
+            for _k, h in ploads:
+                name(_id[h], len(canon))
         pbot_part = tuple(
             (k, name(_id[h], len(canon)))
-            for k, h in (sorted(d.items()) if len(d) > 1 else d.items())
+            for k, h in (sorted(pbots) if len(pbots) > 1 else pbots)
         )
         # safety net: anything still unnamed (should not happen; every
         # live node fills a role, so normally all IDs are named by now)
@@ -499,154 +526,9 @@ class Observer:
             )
         else:
             succ_part = ()
-        if pload:
+        if ploads:
             pload_part = tuple(
-                sorted(((p, canon[_id[s]]), canon[_id[h]]) for (p, s), h in pload.items())
-            )
-        else:
-            pload_part = ()
-        self._key_cache = (
-            self.violation,
-            loc_data,
-            loc_part,
-            proc_part,
-            tail_part,
-            head_part,
-            succ_part,
-            pload_part,
-            pbot_part,
-            tuple(sorted(self._bottom_dead)),
-            self.gen.state_key(lambda h: canon[_id[h]]),
-        )
-        self._canon_cache = canon
-
-    def canonical_snapshot(self) -> Tuple[Dict[int, int], Tuple]:
-        """``(canonical_renaming(), state_key())`` in one call — the
-        product search needs both (the renaming also canonicalises the
-        checker's key), and the pair comes from a single fused walk."""
-        if self._key_cache is None:
-            self._fused_canonical()
-        assert self._canon_cache is not None and self._key_cache is not None
-        return self._canon_cache, self._key_cache
-
-    def permuted_snapshot(self, perm) -> Tuple[Dict[int, int], Tuple]:
-        """The canonical snapshot this observer *would* produce had the
-        whole run been permuted by ``perm`` (a
-        :class:`~repro.engine.reduction.Permutation`) — the symmetry
-        layer's bridge between the group action and the canonical
-        descriptor-ID renaming.
-
-        No permuted copy of the observer is built.  Descriptor IDs and
-        handles are allocation-order artifacts carrying no sort
-        content, and a permuted run fires the image of each rule in the
-        same order, so the permuted observer's state *is* this state
-        with role-slot indices and operation payloads mapped through
-        ``perm`` — which the canonical renaming then abstracts.  The
-        walk below is :meth:`_fused_canonical` with every sort-indexed
-        visit order (locations, processors, blocks, pending
-        obligations) replaced by its permuted order and every
-        proc/block/value payload mapped; structure-only steps (STo
-        successor chains, the generator FIFO renaming) are shared with
-        the unpermuted walk via the generator's ``permuted_*`` hooks.
-
-        Only the identity path is memoized (it delegates to
-        :meth:`canonical_snapshot`); non-identity snapshots are
-        computed per call — the reduction's two-stage minimization
-        already calls each group element at most once per state.
-        """
-        if perm.is_identity:
-            return self.canonical_snapshot()
-        _id = self._id
-        canon: Dict[int, int] = {}
-        name = canon.setdefault
-        pp, pb, vmap = perm.proc, perm.block, perm.vmap
-        loc_inv = perm.loc_inv
-
-        loc_handles = [self._loc[loc_inv[l - 1]] for l in self._loc_order()]
-        if self.self_check:
-            _op = self._op
-            loc_data_l = []
-            loc_part_l = []
-            for h in loc_handles:
-                if h is None:
-                    loc_data_l.append(None)
-                    loc_part_l.append(None)
-                else:
-                    op = _op[h]
-                    loc_data_l.append((pb[op.block - 1], vmap[op.value]))
-                    loc_part_l.append(name(_id[h], len(canon)))
-            loc_data: Tuple = tuple(loc_data_l)
-            loc_part = tuple(loc_part_l)
-        else:
-            loc_data = ()
-            loc_part = tuple(
-                None if h is None else name(_id[h], len(canon))
-                for h in loc_handles
-            )
-        proc_part = tuple(
-            (q, name(_id[h], len(canon)))
-            for q, h in sorted((pp[p - 1], h) for p, h in self._last_of_proc.items())
-        )
-        tail_part = tuple(
-            (bk, name(_id[h], len(canon)))
-            for bk, h in sorted((pb[b - 1], h) for b, h in self._tail_of_block.items())
-        )
-        head_part = tuple(
-            (bk, name(_id[h], len(canon)))
-            for bk, h in sorted((pb[b - 1], h) for b, h in self._head_of_block.items())
-        )
-        for h in self.gen.permuted_ordered_handles(perm):
-            name(_id[h], len(canon))
-        succ = self._succ
-        if succ:
-            # identical to the unpermuted walk: chains are followed in
-            # canonical-number order, which already reflects the
-            # permuted naming above
-            rev = {i: h for h, i in _id.items()}
-            queue = list(canon)
-            qi = 0
-            while qi < len(queue):
-                h = rev.get(queue[qi])
-                qi += 1
-                if h is None:
-                    continue
-                v = succ.get(h)
-                if v is not None:
-                    iv = _id[v]
-                    if iv not in canon:
-                        canon[iv] = len(canon)
-                        queue.append(iv)
-        pload = self._pending_load
-        if pload:
-            get = canon.get
-            for _, _, h in sorted(
-                ((pp[p - 1], s, h) for (p, s), h in pload.items()),
-                key=lambda e: (e[0], get(_id[e[1]], 1 << 60)),
-            ):
-                name(_id[h], len(canon))
-        pbot_part = tuple(
-            ((q, bk), name(_id[h], len(canon)))
-            for q, bk, h in sorted(
-                (pp[p - 1], pb[b - 1], h)
-                for (p, b), h in self._pending_bottom.items()
-            )
-        )
-        if len(canon) != len(_id):
-            for h in sorted(_id):
-                name(_id[h], len(canon))
-
-        if succ:
-            succ_part = tuple(
-                sorted((canon[_id[u]], canon[_id[v]]) for u, v in succ.items())
-            )
-        else:
-            succ_part = ()
-        if pload:
-            pload_part = tuple(
-                sorted(
-                    ((pp[p - 1], canon[_id[s]]), canon[_id[h]])
-                    for (p, s), h in pload.items()
-                )
+                sorted(((p, canon[_id[s]]), canon[_id[h]]) for (p, s), h in ploads)
             )
         else:
             pload_part = ()
@@ -660,33 +542,24 @@ class Observer:
             succ_part,
             pload_part,
             pbot_part,
-            tuple(sorted(pb[b - 1] for b in self._bottom_dead)),
-            self.gen.permuted_state_key(lambda h: canon[_id[h]], perm),
+            tuple(sorted(dead)),
+            self.gen.state_key(lambda h: canon[_id[h]], perm),
         )
         return canon, key
 
-    def canonical_renaming(self) -> Dict[int, int]:
-        """A deterministic renaming ``descriptor ID -> 0..n-1``.
+    def canonical_snapshot(self, perm=None) -> Tuple[Dict[int, int], Tuple]:
+        """``(renaming, key)`` from :meth:`_walk`: a deterministic
+        renaming ``descriptor ID -> 0..n-1`` and the canonical hashable
+        state under it.
 
         Two joint exploration states that agree up to a permutation of
         descriptor IDs behave identically up to that permutation, so
-        the model checker keys states under this renaming.  It is built
-        by walking the observer's role slots in a fixed order (location
-        map, per-processor last nodes, block tails/heads, generator
-        FIFOs, pending obligations); every live node fills at least one
-        role (that is what keeps it alive), so the walk covers all IDs.
-
-        Memoized until the next :meth:`on_transition`; the returned
-        dict is the cache — treat it as read-only.
-        """
-        if self._canon_cache is None:
-            self._fused_canonical()
-        assert self._canon_cache is not None
-        return self._canon_cache
-
-    def state_key(self, canon: Optional[Dict[int, int]] = None) -> Tuple:
-        """Canonical hashable state under an ID renaming (defaults to
-        :meth:`canonical_renaming`).
+        the model checker keys states under this renaming (the checker's
+        key is renamed through it too).  The walk visits the observer's
+        role slots in a fixed order (location map, per-processor last
+        nodes, block tails/heads, generator FIFOs, pending obligations);
+        every live node fills at least one role (that is what keeps it
+        alive), so it covers all IDs.
 
         Operation labels are deliberately *not* part of the key: the
         observer never reads them back, so states differing only in
@@ -694,39 +567,18 @@ class Observer:
         future behaviour depends on the (block, value) each location's
         ST wrote — those are included then.
 
-        The canonical key (``canon`` omitted, or the dict
-        :meth:`canonical_renaming` returned) is memoized until the next
-        mutation; a foreign renaming bypasses the cache.
+        The identity (``perm`` omitted, or ``perm.is_identity``) is
+        memoized until the next mutation; the returned dict is the
+        cache — treat it as read-only.  Other group elements are walked
+        per call: the reduction's two-stage minimization already asks
+        for each at most once per state.
         """
-        if canon is None or canon is self._canon_cache:
-            if self._key_cache is None:
-                self._fused_canonical()
-            assert self._key_cache is not None
-            return self._key_cache
+        if perm is not None and not perm.is_identity:
+            return self._walk(perm)
+        if self._key_cache is None:
+            self._canon_cache, self._key_cache = self._walk(None)
+        return self._canon_cache, self._key_cache
 
-        def rn(h: Optional[Handle]):
-            return None if h is None else canon[self._id[h]]
-
-        loc_data: Tuple = ()
-        if self.self_check:
-            loc_data = tuple(
-                (
-                    None
-                    if self._loc[l] is None
-                    else (self._op[self._loc[l]].block, self._op[self._loc[l]].value)
-                )
-                for l in sorted(self._loc)
-            )
-        return (
-            self.violation,
-            loc_data,
-            tuple(rn(self._loc[l]) for l in sorted(self._loc)),
-            tuple(sorted((p, rn(h)) for p, h in self._last_of_proc.items())),
-            tuple(sorted((b, rn(h)) for b, h in self._tail_of_block.items())),
-            tuple(sorted((b, rn(h)) for b, h in self._head_of_block.items())),
-            tuple(sorted((rn(u), rn(v)) for u, v in self._succ.items())),
-            tuple(sorted(((p, rn(s)), rn(h)) for (p, s), h in self._pending_load.items())),
-            tuple(sorted((k, rn(h)) for k, h in self._pending_bottom.items())),
-            tuple(sorted(self._bottom_dead)),
-            self.gen.state_key(lambda h: canon[self._id[h]]),
-        )
+    def state_key(self) -> Tuple:
+        """The memoized canonical key (:meth:`canonical_snapshot`)."""
+        return self.canonical_snapshot()[1]

@@ -73,46 +73,34 @@ class STOrderGenerator(abc.ABC):
         their descriptor IDs until serialised)."""
 
     @abc.abstractmethod
-    def state_key(self, rename: Callable[[Handle], int] = lambda h: h) -> Tuple:
+    def state_key(
+        self, rename: Callable[[Handle], int] = lambda h: h, perm=None
+    ) -> Tuple:
         """Hashable snapshot of generator state.  ``rename`` maps node
         handles to canonical names (the observer passes its
-        handle-to-descriptor-ID map so keys are run-independent)."""
+        handle-to-descriptor-ID map so keys are run-independent).
+        ``perm`` (a symmetry permutation, see engine/reduction.py;
+        ``None`` is the identity) asks for the key the generator would
+        have had the run been permuted: proc/block payloads mapped,
+        entries re-sorted in the permuted order.  Generators whose key
+        carries no processor or block content ignore it."""
 
     def copy(self) -> "STOrderGenerator":
         """Independent copy (used when the model checker forks)."""
         raise NotImplementedError
 
-    def ordered_handles(self) -> List[Handle]:
+    def ordered_handles(self, perm=None) -> List[Handle]:
         """Live handles in a *structural* order — the observer's
         canonical-renaming walk visits them in this order, so it must
         depend only on the generator's logical state, never on raw
         handle numbers (which are allocation-order artifacts and differ
-        between permutation-equivalent observer states).  Generators
-        whose state has an intrinsic order (FIFO position, say) must
-        override; the base fallback sorts raw handles, which is only
-        canonical for generators that never hold more than one."""
+        between permutation-equivalent observer states).  ``perm`` as
+        for :meth:`state_key`: the order the generator would use had
+        the run been permuted.  Generators whose state has an intrinsic
+        order (FIFO position, say) must override; the base fallback
+        sorts raw handles and ignores ``perm``, which is only canonical
+        for generators that never hold more than one handle."""
         return sorted(self.live_handles())
-
-    def permuted_ordered_handles(self, perm) -> List[Handle]:
-        """:meth:`ordered_handles` under a symmetry permutation: the
-        visit order the generator would use had the run been permuted
-        by ``perm``.  The default delegates to the unpermuted order,
-        which is correct exactly when that order carries no
-        processor/block content (true of a generator that holds at
-        most one handle, or none); generators whose order is
-        sort-indexed must override alongside :meth:`ordered_handles`.
-        """
-        return self.ordered_handles()
-
-    def permuted_state_key(
-        self, rename: Callable[[Handle], int], perm
-    ) -> Tuple:
-        """:meth:`state_key` under a symmetry permutation — proc/block
-        payloads mapped through ``perm``, entries re-sorted in the
-        permuted order.  Default as for
-        :meth:`permuted_ordered_handles`: correct only for generators
-        whose keys carry no sort content."""
-        return self.state_key(rename)
 
     def may_emit_on_internal(self, action: InternalAction) -> bool:
         """Could :meth:`on_internal` ever emit events for ``action``
@@ -153,7 +141,9 @@ class RealTimeSTOrder(STOrderGenerator):
     def live_handles(self) -> Set[Handle]:
         return set()
 
-    def state_key(self, rename: Callable[[Handle], int] = lambda h: h) -> Tuple:
+    def state_key(
+        self, rename: Callable[[Handle], int] = lambda h: h, perm=None
+    ) -> Tuple:
         return ("real-time",)
 
     def copy(self) -> "RealTimeSTOrder":
@@ -237,41 +227,33 @@ class WriteOrderSTOrder(STOrderGenerator):
     def live_handles(self) -> Set[Handle]:
         return {h for fifo in self._fifo.values() for (h, _) in fifo}
 
-    def ordered_handles(self) -> List[Handle]:
+    def _fifos(self, perm) -> List[Tuple[int, Deque[Tuple[Handle, int]]]]:
+        # processors ascending (after permutation, if any); FIFO
+        # position is program order per processor and survives any
+        # permutation
+        if perm is None:
+            return sorted(self._fifo.items())
+        pp = perm.proc
+        return sorted((pp[p - 1], fifo) for p, fifo in self._fifo.items())
+
+    def ordered_handles(self, perm=None) -> List[Handle]:
         # structural order: processors ascending, then FIFO position —
         # exactly the shape state_key exposes
-        return [
-            h
-            for _proc, fifo in sorted(self._fifo.items())
-            for (h, _blk) in fifo
-        ]
+        return [h for _proc, fifo in self._fifos(perm) for (h, _blk) in fifo]
 
-    def state_key(self, rename: Callable[[Handle], int] = lambda h: h) -> Tuple:
+    def state_key(
+        self, rename: Callable[[Handle], int] = lambda h: h, perm=None
+    ) -> Tuple:
+        pb = None if perm is None else perm.block
         return tuple(
-            (proc, tuple((rename(h), blk) for (h, blk) in fifo))
-            for proc, fifo in sorted(self._fifo.items())
-            if fifo
-        )
-
-    def permuted_ordered_handles(self, perm) -> List[Handle]:
-        # processors ascending *after* permutation; FIFO position is
-        # program order per processor and survives any permutation
-        pp = perm.proc
-        return [
-            h
-            for _proc, fifo in sorted(
-                (pp[proc - 1], fifo) for proc, fifo in self._fifo.items()
+            (
+                proc,
+                tuple(
+                    (rename(h), blk if pb is None else pb[blk - 1])
+                    for (h, blk) in fifo
+                ),
             )
-            for (h, _blk) in fifo
-        ]
-
-    def permuted_state_key(self, rename: Callable[[Handle], int], perm) -> Tuple:
-        pp, pb = perm.proc, perm.block
-        return tuple(
-            (proc, tuple((rename(h), pb[blk - 1]) for (h, blk) in fifo))
-            for proc, fifo in sorted(
-                (pp[p - 1], fifo) for p, fifo in self._fifo.items()
-            )
+            for proc, fifo in self._fifos(perm)
             if fifo
         )
 

@@ -27,7 +27,6 @@ from typing import Iterable, List, Optional, Tuple
 from ..modelcheck.counterexample import Counterexample
 from ..modelcheck.product import ProductResult, explore_product
 from ..obs.stats import ExplorationStats
-from .checker import Checker
 from .descriptor import Symbol
 from .operations import Action
 from .protocol import Protocol
@@ -247,11 +246,8 @@ class RunCheck:
 
 
 def _checker_reason(checker) -> str:
-    if isinstance(checker, Checker):
-        violations = checker.violations()
-        if violations:
-            return violations[0]
-    return "constraint-graph cycle"
+    violations = checker.violations()
+    return violations[0] if violations else "constraint-graph cycle"
 
 
 def check_run(
@@ -294,11 +290,6 @@ def check_run(
             return RunCheck(False, reason, tuple(symbols), False)
         state = t.state
     quiescent = protocol.is_quiescent(state)
-    accepts_end = (
-        checker.accepts_at_end()
-        if hasattr(checker, "accepts_at_end")
-        else checker.accepts
-    )
-    if quiescent and not accepts_end:
+    if quiescent and not checker.accepts_at_end():
         return RunCheck(False, _checker_reason(checker), tuple(symbols), True)
     return RunCheck(True, None, tuple(symbols), quiescent)

@@ -61,11 +61,6 @@ class Component(abc.ABC):
         """Apply one input; return the successor state and what the
         step emits downstream.  Must not mutate ``state``."""
 
-    def state_key(self, state: Any, canon=None) -> Hashable:
-        """Hashable canonical snapshot of ``state`` (default: the
-        state itself must already be hashable)."""
-        return state
-
 
 class ProtocolComponent(Component):
     """A protocol (or :class:`~repro.faults.wrapper.FaultyProtocol`)
@@ -126,9 +121,6 @@ class ObserverComponent(Component):
         symbols = obs.on_transition(inp)
         return obs, tuple(symbols)
 
-    def state_key(self, state, canon=None) -> Hashable:
-        return state.state_key(canon)
-
 
 class CheckerComponent(Component):
     """A descriptor checker as a component.  Inputs are symbol
@@ -153,23 +145,6 @@ class CheckerComponent(Component):
         chk = state.fork()
         chk.feed_all(inp)
         return chk, ()
-
-    def state_key(self, state, canon=None) -> Hashable:
-        return state.state_key(canon)
-
-    @staticmethod
-    def ok(state) -> bool:
-        """No eager rejection so far (end-of-string conditions are
-        :meth:`accepts_at_end`'s business, not this one's)."""
-        if isinstance(state, CycleChecker):
-            return state.accepts
-        return state.accepts_so_far
-
-    @staticmethod
-    def accepts_at_end(state) -> bool:
-        if isinstance(state, CycleChecker):
-            return state.accepts
-        return state.accepts_at_end()
 
 
 # ----------------------------------------------------------------------
@@ -371,10 +346,8 @@ class ComposedSystem(System):
         pstate, obs, chk = state
         if self.reduction is not None and obs.violation is None:
             return self.reduction.canonical_key(pstate, obs, chk)
-        if self.canonical_ids:
-            canon, okey = obs.canonical_snapshot()
-            return (pstate, okey, chk.state_key(canon))
-        return (pstate, obs.state_key(None), chk.state_key(None))
+        canon, okey = obs.canonical_snapshot()
+        return (pstate, okey, chk.state_key(canon if self.canonical_ids else None))
 
     def steps(self, state) -> List[Step]:
         """All successor steps of ``state``, keys computed in batch.
@@ -393,7 +366,7 @@ class ComposedSystem(System):
             obs2, symbols = self.observer_comp.step(obs, t)
             if symbols:
                 chk2, _ = self.checker_comp.step(chk, symbols)
-                ok = self.checker_comp.ok(chk2) and obs2.violation is None
+                ok = chk2.accepts_so_far and obs2.violation is None
             else:
                 # nothing emitted: the parent's (accepted) checker is
                 # shared — it is only ever mutated right after a fork
@@ -438,7 +411,7 @@ class ComposedSystem(System):
             # structural end conditions hold by observer construction;
             # acyclicity is checked eagerly on every symbol
             return True
-        return self.checker_comp.accepts_at_end(chk)
+        return chk.accepts_at_end()
 
     def record(self, stats, state) -> None:
         obs = state[1]

@@ -20,12 +20,12 @@ quotients the search by those permutations, Murphi-scalarset style:
   orbit — the quotient key the engine interns.
 
 The observer and checker compose with the permutation rather than
-fight it: :meth:`~repro.core.observer.Observer.permuted_snapshot`
-replays the observer's canonical-renaming walk *as if* the whole run
-had been permuted (descriptor IDs are allocation artifacts and carry
-no sort content, so only slot visit order and the proc/block/value
-payload change), and the checkers take the same permutation into
-their ``state_key``.  Because the search frontiers always hold
+fight it: :meth:`~repro.core.observer.Observer.canonical_snapshot`
+takes the permutation and runs the observer's one canonical-renaming
+walk *as if* the whole run had been permuted (descriptor IDs are
+allocation artifacts and carry no sort content, so only slot visit
+order and the proc/block/value payload change), and the checkers take
+the same permutation into their ``state_key``.  Because the search frontiers always hold
 **concrete** states and only the interned *keys* are canonicalized,
 every interned quotient state keeps one concrete witness and parent
 actions connect witnesses concretely — counterexample replay needs no
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.operations import BOTTOM, Load, Operation, Store
@@ -294,19 +294,6 @@ class Permutation:
                          self.vmap[op.value])
         return op
 
-    def content_map(self, sort: Optional[str]):
-        """The entry map for a ``FieldSym.content`` sort (``None`` for
-        sort-free entries)."""
-        if sort is None:
-            return None
-        if sort == "value":
-            return self.vmap
-        if sort == "proc":
-            return (0,) + self.proc  # 1-based lookup, 0 unused
-        if sort == "block":
-            return (0,) + self.block
-        raise ReductionError(f"unknown content sort {sort!r}")
-
 
 # ----------------------------------------------------------------------
 # total order over heterogeneous keys
@@ -336,6 +323,15 @@ def order_key(x):
     if isinstance(x, frozenset):
         return (5, tuple(sorted(order_key(e) for e in x)))
     return (6, repr(x))
+
+
+def _composed_key(ps: Tuple, obs, chk, perm: Permutation) -> Tuple:
+    """The composed key of the ``perm``-image of ``(obs, chk)`` beside
+    the already permuted protocol state ``ps``: one observer walk, whose
+    renaming also canonicalizes the checker."""
+    p = None if perm.is_identity else perm
+    canon, okey = obs.canonical_snapshot(p)
+    return (ps, okey, chk.state_key(canon, p))
 
 
 # ----------------------------------------------------------------------
@@ -454,17 +450,14 @@ class Reduction:
             tied = ties[idx]
             if len(tied) == 1:
                 perm, ps = tied[0]
-                canon, okey = obs.permuted_snapshot(perm)
-                key = (ps, okey, chk.state_key(canon, None if perm.is_identity else perm))
+                key = _composed_key(ps, obs, chk, perm)
                 winner = perm
             else:
                 key = None
                 best_fk = None
                 winner = tied[0][0]
                 for perm, ps in tied:
-                    canon, okey = obs.permuted_snapshot(perm)
-                    cand = (ps, okey,
-                            chk.state_key(canon, None if perm.is_identity else perm))
+                    cand = _composed_key(ps, obs, chk, perm)
                     fk = order_key(cand)
                     # identity is first in self.perms, hence first among
                     # ties — strict < keeps it on equal keys

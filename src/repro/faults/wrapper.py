@@ -238,11 +238,14 @@ class SwappedSTOrder(STOrderGenerator):
         live.update(ev.handle for ev in self._pending.values())
         return live
 
-    def state_key(self, rename=lambda h: h) -> Tuple:
+    def state_key(self, rename=lambda h: h, perm=None) -> Tuple:
+        pending = self._pending.items()
+        if perm is not None:
+            pending = [(perm.block[b - 1], ev) for b, ev in pending]
         return (
             "swapped",
-            tuple((b, rename(ev.handle)) for b, ev in sorted(self._pending.items())),
-            self.inner.state_key(rename),
+            tuple((b, rename(ev.handle)) for b, ev in sorted(pending)),
+            self.inner.state_key(rename, perm),
         )
 
     def copy(self) -> "SwappedSTOrder":

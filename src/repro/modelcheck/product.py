@@ -35,7 +35,6 @@ import contextlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..core.checker import Checker
 from ..core.operations import Action
 from ..core.protocol import Protocol
 from ..core.storder import STOrderGenerator
@@ -94,10 +93,7 @@ def _replay(
         symbols.extend(observer.on_transition(t))
         state = t.state
     checker.feed_all(symbols)
-    if isinstance(checker, Checker):
-        violations = checker.violations()
-    else:
-        violations = [] if checker.accepts else ["constraint-graph cycle"]
+    violations = checker.violations()
     if observer.violation is not None:
         violations.insert(0, observer.violation)
     reason = violations[0] if violations else "checker rejected"

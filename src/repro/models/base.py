@@ -65,8 +65,9 @@ class ConsistencyModel(abc.ABC):
     #: cross-model difftest enforces the implication on real searches.
     weaker_than: Tuple[str, ...] = ()
 
-    #: whether the model's observer implements ``permuted_snapshot``
-    #: (required for ``--reduce``; see :mod:`repro.engine.reduction`)
+    #: whether the model's observer takes a symmetry permutation in
+    #: ``canonical_snapshot(perm)`` (required for ``--reduce``; see
+    #: :mod:`repro.engine.reduction`)
     supports_reduction: bool = False
 
     #: whether the model's witness-visibility set is derived — i.e.
@@ -97,9 +98,10 @@ class ConsistencyModel(abc.ABC):
     @abc.abstractmethod
     def make_checker(self, mode: str):
         """The finite-state checker for ``mode`` (violation
-        predicate).  Must expose ``fork``, ``feed_all``, ``state_key``
-        and either ``accepts`` (cycle-only) or ``accepts_so_far`` +
-        ``accepts_at_end`` (full)."""
+        predicate).  Must expose ``fork``, ``feed_all``,
+        ``state_key(canon, perm)``, ``accepts_so_far`` (no eager
+        rejection yet), ``accepts_at_end()`` (end-of-string verdict)
+        and ``violations()`` (the reasons, first one reported)."""
 
     # ------------------------------------------------------------------
     def wrap_protocol(self, protocol: Protocol) -> Protocol:

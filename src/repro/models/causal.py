@@ -290,32 +290,8 @@ class CausalObserver:
         assert self._canon_cache is not None and self._key_cache is not None
         return self._canon_cache, self._key_cache
 
-    def canonical_renaming(self) -> Dict[int, int]:
-        return self.canonical_snapshot()[0]
-
-    def state_key(self, canon: Optional[Dict[int, int]] = None) -> Tuple:
-        if canon is None or canon is self._canon_cache:
-            return self.canonical_snapshot()[1]
-
-        def rn(h: Optional[Handle]):
-            return None if h is None else canon[self._id[h]]
-
-        loc_data: Tuple = ()
-        if self.self_check:
-            loc_data = tuple(
-                (
-                    None
-                    if self._loc[l] is None
-                    else (self._op[self._loc[l]].block, self._op[self._loc[l]].value)
-                )
-                for l in sorted(self._loc)
-            )
-        return (
-            self.violation,
-            loc_data,
-            tuple(rn(self._loc[l]) for l in sorted(self._loc)),
-            tuple(sorted((k, rn(h)) for k, h in self._last.items())),
-        )
+    def state_key(self) -> Tuple:
+        return self.canonical_snapshot()[1]
 
 
 class CausalConsistency(ConsistencyModel):

@@ -136,7 +136,7 @@ def test_checker_component_shares_state_on_empty_batch():
     chk = comp.initial()
     same, emitted = comp.step(chk, ())
     assert same is chk and emitted == ()
-    assert comp.ok(chk) and comp.accepts_at_end(chk)
+    assert chk.accepts_so_far and chk.accepts_at_end()
 
 
 # ---------------------------------------------------------- search engine

@@ -7,23 +7,35 @@ counterexample.  These tests pin both sides, plus the plumbing
 (composition of tracking maps, fault discovery, applicability errors).
 """
 
+import random
+
 import pytest
 
 from repro.core.protocol import FRESH
 from repro.core.verify import verify_protocol
+from repro.engine import ComposedSystem
 from repro.faults import (
     EXPECT_REJECT,
     FAULT_KINDS,
     FaultInapplicable,
     FaultSpec,
     FaultyProtocol,
+    SwappedSTOrder,
     apply_faults,
     compose_copies,
     fault_matrix,
     standard_faults,
 )
 from repro.faults.spec import discover_structure
-from repro.memory import MSIProtocol, SerialMemory, WriteThroughProtocol
+from repro.memory import (
+    LazyCachingProtocol,
+    MSIProtocol,
+    SerialMemory,
+    WriteThroughProtocol,
+    lazy_caching_st_order,
+)
+
+from .test_replay_determinism import _assert_keys_invariant_along_walk
 
 
 # ---------------------------------------------------------------- specs
@@ -156,3 +168,19 @@ def test_fault_matrix_summary_mentions_failures():
 def test_fault_matrix_counts_expectations():
     report = fault_matrix(["serial"], include_baseline=False)
     assert all(e.met for e in report.entries)
+
+
+def test_swapped_storder_keys_are_invariant_under_symmetry():
+    """The perturb-storder generator keys its pending per-block event
+    and its inner generator's FIFOs through the symmetry permutation,
+    so the orbit-minimum key of a state equals that of its image."""
+    system = ComposedSystem(
+        LazyCachingProtocol(p=2, b=2, v=2),
+        SwappedSTOrder(lazy_caching_st_order()),
+        mode="fast",
+        reduce="full",
+    )
+    rng = random.Random(0)
+    for perm in system.reduction.perms:
+        if not perm.is_identity:
+            _assert_keys_invariant_along_walk(system, perm, rng)

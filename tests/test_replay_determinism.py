@@ -288,6 +288,14 @@ def _assert_keys_invariant_along_walk(system, perm, rng, steps=25):
         assert tstep.state[0] == red.permute_pstate(step.state[0], perm)
         # the tentpole invariant: equal quotient keys
         assert tstep.key == step.key
+        # and the walk itself, not just the orbit minima: the
+        # π-snapshot of s is the identity snapshot of its image
+        (_, s_obs, s_chk), (_, t_obs, t_chk) = step.state, tstep.state
+        canon_s, okey_s = s_obs.canonical_snapshot(perm)
+        canon_t, okey_t = t_obs.canonical_snapshot()
+        assert okey_s == okey_t and (
+            s_chk.state_key(canon_s, perm) == t_chk.state_key(canon_t)
+        )
         s, t = step.state, tstep.state
 
 
