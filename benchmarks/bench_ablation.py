@@ -17,7 +17,7 @@ wall time do.
 """
 
 from repro.memory import MSIProtocol, SerialMemory
-from repro.modelcheck.product import explore_product
+from repro.modelcheck.product import ProductSearch
 from repro.util import format_table
 
 CONFIGS = [
@@ -33,10 +33,10 @@ def _measure(proto, cap):
     rows = []
     base = None
     for name, kw in CONFIGS:
-        res = explore_product(
+        res = ProductSearch(
             proto, mode="fast", max_states=cap,
             check_quiescence_reachability=False, **kw
-        )
+        ).run()
         assert res.ok, name
         n = res.stats.states
         if base is None:

@@ -87,15 +87,15 @@ def test_verification_representative_timing(benchmark):
 def test_full_mode_smallest_instance(benchmark, show):
     """The literal paper pipeline (full checker in the product) on the
     smallest protocol, for comparison with fast mode."""
-    from repro.modelcheck import explore_product
+    from repro.modelcheck import ProductSearch
 
     proto = SerialMemory(p=1, b=1, v=1)
 
     def run_full():
-        return explore_product(proto, mode="full")
+        return ProductSearch(proto, mode="full").run()
 
     res = benchmark.pedantic(run_full, rounds=1, iterations=1)
-    fast = explore_product(proto, mode="fast")
+    fast = ProductSearch(proto, mode="fast").run()
     show(
         format_table(
             ["mode", "joint states", "transitions", "verdict"],

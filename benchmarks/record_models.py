@@ -32,7 +32,7 @@ import argparse
 
 from repro.difftest import assert_preemption_refinement, fingerprint
 from repro.memory import BuggyMSIProtocol
-from repro.modelcheck.product import explore_product
+from repro.modelcheck.product import ProductSearch
 from repro.obs import MetricsRegistry, Telemetry, TraceWriter
 
 PREEMPTIONS = 2
@@ -51,10 +51,10 @@ def traced_run(path: str, preemptions=None):
         protocol=make_protocol().describe(), mode="fast",
         reduce="off", model="sc", **extra,
     )
-    res = explore_product(
+    res = ProductSearch(
         make_protocol(), mode="fast", stop_on_violation=False,
-        model="sc", preemptions=preemptions, telemetry=telemetry,
-    )
+        model="sc", preemptions=preemptions,
+    ).run(None, telemetry)
     telemetry.finish_run(
         verdict="violation" if res.counterexample is not None else "verified",
         states=res.stats.states, stats=res.stats.as_dict(),

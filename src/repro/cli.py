@@ -8,9 +8,9 @@ Commands
              optionally, a protocol
 ``fuzz``     randomised per-run testing (the Section 5 scenario)
 ``bounds``   Section 4.4 size-bound table for given parameters
-``report``   condensed re-run of every experiment, as markdown — or,
-             given a trace/--ledger/--bench, a self-contained run
-             report / trend document (markdown or HTML)
+``reproduce`` condensed re-run of every experiment, as markdown
+``report``   a self-contained run report / trend document (markdown or
+             HTML) from a trace, --ledger and/or --bench
 ``runs``     list, filter, show and gc the run ledger (--ledger)
 ``descriptor`` check a descriptor string (paper syntax) for acyclic
              constraint-graph-ness
@@ -21,9 +21,9 @@ Commands
              a normalized benchmark entry, or gate on a states/sec
              regression (docs/OBSERVABILITY.md)
 
-Protocols are addressed by name (see ``PROTOCOLS``); each entry knows
-its default ST-order generator, so ``python -m repro verify lazy``
-just works.
+Protocols are addressed by name (see :data:`repro.memory.PROTOCOLS`);
+each entry knows its default ST-order generator, so ``python -m repro
+verify lazy`` just works.
 
 Exit codes: 0 success / verdict met, 1 an SC violation (or unmet
 fault-matrix expectation) was found, 2 usage or input-parse errors.
@@ -34,10 +34,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, Optional, Tuple
 
 from .core.bounds import bounds_for
-from .core.storder import STOrderGenerator
 from .core.verify import verify_protocol
 from .engine.por import POR_LEVELS
 from .engine.reduction import REDUCE_LEVELS
@@ -49,72 +47,50 @@ from .litmus import (
     outcomes_on_protocol,
     outcomes_sc,
 )
-from .memory import (
-    BuggyMSINoWritebackProtocol,
-    BuggyMSIProtocol,
-    BuggyMSIStaleSharedProtocol,
-    DirectoryProtocol,
-    DragonProtocol,
-    FencedStoreBufferProtocol,
-    LazyCachingProtocol,
-    MESIProtocol,
-    MOESIProtocol,
-    MSIProtocol,
-    SerialMemory,
-    StoreBufferProtocol,
-    WriteThroughProtocol,
-    lazy_caching_st_order,
-    store_buffer_st_order,
-)
+from .memory import NON_SC_PROTOCOLS, PROTOCOLS, build_protocol
 from .models import MODELS
 from .obs.flight import DEFAULT_FLIGHT_CAPACITY
 from .obs.ledger import DEFAULT_LEDGER_PATH
 from .util import format_table
 
-__all__ = ["main", "PROTOCOLS", "NON_SC_PROTOCOLS"]
-
-#: name -> (constructor, default generator factory or None, default p/b/v)
-PROTOCOLS: Dict[str, Tuple[Callable, Optional[Callable[[], STOrderGenerator]], Tuple[int, int, int]]] = {
-    "serial": (SerialMemory, None, (2, 1, 2)),
-    "msi": (MSIProtocol, None, (2, 1, 2)),
-    "mesi": (MESIProtocol, None, (2, 1, 2)),
-    "moesi": (MOESIProtocol, None, (2, 1, 1)),
-    "dragon": (DragonProtocol, None, (2, 1, 1)),
-    "write-through": (WriteThroughProtocol, None, (2, 1, 2)),
-    "fenced-sb": (FencedStoreBufferProtocol, store_buffer_st_order, (2, 1, 1)),
-    "directory": (DirectoryProtocol, None, (2, 1, 1)),
-    "lazy": (LazyCachingProtocol, lazy_caching_st_order, (2, 1, 1)),
-    "storebuffer": (StoreBufferProtocol, store_buffer_st_order, (2, 2, 1)),
-    "buggy-msi": (BuggyMSIProtocol, None, (2, 1, 1)),
-    "buggy-msi-nowb": (BuggyMSINoWritebackProtocol, None, (2, 1, 1)),
-    "buggy-msi-stale-s": (BuggyMSIStaleSharedProtocol, None, (2, 2, 1)),
-}
-
-#: registry names whose (unmodified) protocol is expected non-SC
-NON_SC_PROTOCOLS = frozenset(
-    {"storebuffer", "buggy-msi", "buggy-msi-nowb", "buggy-msi-stale-s"}
-)
+__all__ = ["main"]
 
 
-def _make_protocol(args) -> Tuple[object, Optional[STOrderGenerator]]:
-    ctor, gen_factory, (dp, db, dv) = PROTOCOLS[args.protocol]
-    proto = ctor(
-        p=args.p if args.p is not None else dp,
-        b=args.b if args.b is not None else db,
-        v=args.v if args.v is not None else dv,
+def _make_protocol(args):
+    return build_protocol(
+        args.protocol, args.p, args.b, args.v,
+        real_time=getattr(args, "real_time_order", False),
     )
-    gen = gen_factory() if gen_factory is not None else None
-    if getattr(args, "real_time_order", False):
-        gen = None
-    return proto, gen
 
 
-def _add_protocol_args(sub, with_params: bool = True) -> None:
-    sub.add_argument("protocol", choices=sorted(PROTOCOLS))
-    if with_params:
-        sub.add_argument("--p", type=int, default=None, help="processors")
-        sub.add_argument("--b", type=int, default=None, help="blocks")
-        sub.add_argument("--v", type=int, default=None, help="values")
+def _add_size_args(sub) -> None:
+    sub.add_argument("--p", type=int, default=None, help="processors")
+    sub.add_argument("--b", type=int, default=None, help="blocks")
+    sub.add_argument("--v", type=int, default=None, help="values")
+
+
+def _add_search_args(sub, level_default) -> None:
+    """The search flags ``verify`` and ``fault-matrix`` share;
+    ``level_default`` is the ``--reduce``/``--por`` default."""
+    sub.add_argument("--mode", choices=["fast", "full"], default="fast")
+    sub.add_argument("--max-states", type=int, default=None)
+    sub.add_argument("--budget-s", type=float, default=None, metavar="S",
+                     help="wall-clock budget in seconds")
+    sub.add_argument("--reduce", choices=list(REDUCE_LEVELS), default=level_default,
+                     help="symmetry-reduction level: canonicalize states under "
+                          "processor (proc), processor+block (proc+block) or "
+                          "processor+block+value (full) permutations before "
+                          "interning, shrinking the explored quotient space "
+                          "with identical verdicts and concretely replayable "
+                          "counterexamples (default off)")
+    sub.add_argument("--por", choices=list(POR_LEVELS), default=level_default,
+                     help="partial-order reduction: expand only an ample subset "
+                          "of each state's enabled actions where the protocol's "
+                          "declared independence relation proves the deferred "
+                          "ones commute invisibly, shrinking the explored space "
+                          "with identical verdicts and concretely replayable "
+                          "counterexamples (default off; protocols without a "
+                          "POR declaration run fully expanded)")
 
 
 def _add_telemetry_args(sub) -> None:
@@ -243,6 +219,12 @@ def _cmd_verify(args, telemetry=None) -> int:
             wall_s=args.budget_s, states=args.budget_states, memory_mb=args.budget_mb
         )
 
+    if args.degrade:
+        refusal = _degrade_refusal(args, budget)
+        if refusal is not None:
+            print(f"error: {refusal}")
+            return 2
+
     t0 = time.perf_counter()
     try:
         if args.resume is not None:
@@ -270,32 +252,11 @@ def _cmd_verify(args, telemetry=None) -> int:
                 return 2
             proto, gen = _make_protocol(args)
             if args.degrade:
-                if budget is None or budget.wall_s is None:
-                    print("error: --degrade needs a wall-clock budget (--budget-s)")
-                    return 2
-                if (args.model or "sc") != "sc" or args.preemptions is not None:
-                    print(
-                        "error: --degrade's litmus/fuzz fallbacks check SC "
-                        "only; drop --model/--preemptions"
-                    )
-                    return 2
-                if telemetry is not None:
-                    telemetry.start_run(
-                        protocol=proto.describe(), mode=args.mode,
-                        degrade=True,
-                    )
-                    if telemetry.progress is not None:
-                        telemetry.progress.budget = budget
                 res = degrade(
-                    proto, gen, budget=budget, mode=args.mode, store=store,
-                    telemetry=telemetry,
+                    proto, gen, budget=budget, mode=args.mode,
+                    reduce=args.reduce or "off", por=args.por or "off",
+                    store=store, telemetry=telemetry,
                 )
-                if telemetry is not None:
-                    telemetry.finish_run(
-                        verdict=res.verdict,
-                        states=res.stats.states,
-                        confidence=res.confidence,
-                    )
             else:
                 res = run_verification(
                     proto,
@@ -329,7 +290,7 @@ def _cmd_verify(args, telemetry=None) -> int:
             else "new search"
         )
         print(f"ledger: {res.ledger_hash[:12]} ({dedup}) -> {args.ledger}")
-    elif args.ledger is not None and not args.degrade:
+    elif args.ledger is not None:
         print("ledger: not recorded (run was stopped or truncated)")
     if res.stats is not None and res.stats.stop_reason is not None:
         where = args.checkpoint or args.resume
@@ -341,13 +302,41 @@ def _cmd_verify(args, telemetry=None) -> int:
     return 0 if res.sequentially_consistent else 1
 
 
+def _degrade_refusal(args, budget):
+    """Why ``--degrade`` cannot honour these flags, or ``None``."""
+    if budget is None or budget.wall_s is None:
+        return "--degrade needs a wall-clock budget (--budget-s)"
+    if (args.model or "sc") != "sc" or args.preemptions is not None:
+        return (
+            "--degrade's litmus/fuzz fallbacks check SC only; drop "
+            "--model/--preemptions"
+        )
+    # the ladder runs fresh, uncapped breadth-first searches (a
+    # depth-bounded DFS rung would not be complete) and keeps no record
+    dropped = [
+        flag for flag, given in (
+            ("--resume", args.resume is not None),
+            ("--checkpoint", args.checkpoint is not None),
+            ("--ledger", args.ledger is not None),
+            ("--max-states", args.max_states is not None),
+            ("--max-depth", args.max_depth is not None),
+            ("--strategy", args.strategy != "bfs"),
+        )
+        if given
+    ]
+    if dropped:
+        return (
+            "--degrade runs its own budgeted breadth-first ladder and "
+            f"writes no checkpoint or ledger entry; drop {', '.join(dropped)}"
+        )
+    return None
+
+
 def cmd_zoo(args) -> int:
     rows = []
     worst = 0
     for name in sorted(PROTOCOLS):
-        ctor, gen_factory, (dp, db, dv) = PROTOCOLS[name]
-        proto = ctor(p=dp, b=db, v=dv)
-        gen = gen_factory() if gen_factory else None
+        proto, gen = build_protocol(name)
         t0 = time.perf_counter()
         res = verify_protocol(proto, gen, max_states=args.max_states)
         dt = time.perf_counter() - t0
@@ -383,11 +372,12 @@ def cmd_litmus(args) -> int:
     ]
     print(format_table(["outcome", "strongest model"], rows, title=f"{prog.name}: {prog.description}"))
     if args.on is not None:
-        ctor, _gen, (dp, db, dv) = PROTOCOLS[args.on]
-        proto = ctor(
-            p=max(dp, prog.num_procs),
-            b=max(db, max(prog.blocks)),
-            v=max(dv, prog.max_value),
+        dp, db, dv = PROTOCOLS[args.on][2]
+        proto, _gen = build_protocol(
+            args.on,
+            max(dp, prog.num_procs),
+            max(db, max(prog.blocks)),
+            max(dv, prog.max_value),
         )
         got = outcomes_on_protocol(proto, prog)
         sc = outcomes_sc(prog)
@@ -481,14 +471,20 @@ def cmd_check_run(args) -> int:
     return 0 if verdict.ok else 1
 
 
+def cmd_reproduce(args) -> int:
+    from .report import generate_report
+
+    text = generate_report()
+    print(text)
+    return 0 if "MISMATCH" not in text else 1
+
+
 def cmd_report(args) -> int:
     if args.trace is None and args.ledger is None and args.bench is None:
-        # legacy behaviour: condensed re-run of every experiment
-        from .report import generate_report
-
-        text = generate_report()
-        print(text)
-        return 0 if "MISMATCH" not in text else 1
+        args.parser.print_usage()
+        print("error: nothing to render: give a trace, --ledger or --bench "
+              "(the reproduction sweep is 'repro reproduce')")
+        return 2
 
     from .obs import TraceError
     from .obs.ledger import LedgerError, RunLedger
@@ -720,12 +716,7 @@ def _fmt_metric(v: float) -> str:
 def cmd_bounds(args) -> int:
     rows = []
     for name in sorted(PROTOCOLS):
-        ctor, _g, (dp, db, dv) = PROTOCOLS[name]
-        proto = ctor(
-            p=args.p if args.p is not None else dp,
-            b=args.b if args.b is not None else db,
-            v=args.v if args.v is not None else dv,
-        )
+        proto, _gen = build_protocol(name, args.p, args.b, args.v)
         bb = bounds_for(proto)
         rows.append(
             (name, f"{bb.p}/{bb.b}/{bb.v}", bb.L, bb.bandwidth, bb.state_bits, bb.state_bits_optimised)
@@ -765,8 +756,11 @@ def build_parser() -> argparse.ArgumentParser:
             "     declares no symmetry for, an unsupported model combination\n"
             "     (--model causal with --mode full, --reduce or --por,\n"
             "     --preemptions with --model causal), --store-budget-mb/\n"
-            "     --store-dir without --store disk, or a checkpoint that does\n"
-            "     not rebuild (a rebuilt state key differs from the stored one)\n"
+            "     --store-dir without --store disk, a checkpoint that does\n"
+            "     not rebuild (a rebuilt state key differs from the stored one),\n"
+            "     or --degrade with a flag its ladder cannot honour (--resume,\n"
+            "     --checkpoint, --ledger, --max-states, --max-depth, --strategy\n"
+            "     other than bfs, --model other than sc, --preemptions)\n"
             "\n"
             "resume semantics: --reduce, --model, --preemptions and --por are\n"
             "search state (baked into the checkpoint's interned keys, run set\n"
@@ -783,19 +777,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("protocol", nargs="?", choices=sorted(PROTOCOLS), default=None,
                    help="protocol name (omit when using --resume)")
-    v.add_argument("--p", type=int, default=None, help="processors")
-    v.add_argument("--b", type=int, default=None, help="blocks")
-    v.add_argument("--v", type=int, default=None, help="values")
-    v.add_argument("--mode", choices=["fast", "full"], default="fast")
-    v.add_argument("--max-states", type=int, default=None)
+    _add_size_args(v)
+    _add_search_args(v, None)
     v.add_argument("--max-depth", type=int, default=None)
     v.add_argument(
         "--real-time-order",
         action="store_true",
         help="force the trivial real-time ST-order generator (e.g. to see lazy caching rejected)",
     )
-    v.add_argument("--budget-s", type=float, default=None, metavar="S",
-                   help="wall-clock budget in seconds")
     v.add_argument("--budget-states", type=int, default=None, metavar="N",
                    help="stop after exploring N joint states (resumable, unlike --max-states)")
     v.add_argument("--budget-mb", type=float, default=None, metavar="MB",
@@ -816,11 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="state-store backend: mem keeps every interned key in "
                         "RAM (default), disk spills keys past the resident "
                         "budget to an append-only CRC-framed log with an "
-                        "mmap'd hash index (see docs/ARCHITECTURE.md). Run "
-                        "policy, not search state: verdicts, state counts and "
-                        "fingerprints are bit-identical across backends, and "
-                        "with --resume an explicit backend re-interns the "
-                        "checkpointed keys")
+                        "mmap'd hash index (see docs/ARCHITECTURE.md); "
+                        "verdicts, state counts and fingerprints are "
+                        "bit-identical across backends")
     v.add_argument("--store-budget-mb", type=float, default=None, metavar="MB",
                    help="resident-key budget for --store disk: keys beyond "
                         "this many MB (pickled size) are evicted to the spill "
@@ -829,38 +816,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for --store disk spill files (default: a "
                         "fresh repro-store-* directory under the system temp "
                         "dir; removed at exit)")
-    v.add_argument("--reduce", choices=list(REDUCE_LEVELS), default=None,
-                   help="symmetry-reduction level: canonicalize states under "
-                        "processor (proc), processor+block (proc+block) or "
-                        "processor+block+value (full) permutations before "
-                        "interning, shrinking the explored quotient space "
-                        "with identical verdicts and concretely replayable "
-                        "counterexamples (default off). Search state, not run "
-                        "policy: with --resume the checkpointed level is "
-                        "inherited and an explicit mismatch exits 2; ignored "
-                        "by --degrade's fall-back phases")
-    v.add_argument("--por", choices=list(POR_LEVELS), default=None,
-                   help="partial-order reduction: expand only an ample subset "
-                        "of each state's enabled actions where the protocol's "
-                        "declared independence relation proves the deferred "
-                        "ones commute invisibly, shrinking the explored space "
-                        "with identical verdicts and concretely replayable "
-                        "counterexamples (default off; protocols without a "
-                        "POR declaration degrade to full expansion). Search "
-                        "state like --reduce: with --resume the checkpointed "
-                        "level is inherited and an explicit mismatch exits 2")
     v.add_argument("--model", choices=sorted(MODELS), default=None,
                    help="consistency model to check (default sc; see "
-                        "docs/MODELS.md). Search state, not run policy: with "
-                        "--resume the checkpointed model is inherited and an "
-                        "explicit mismatch exits 2")
+                        "docs/MODELS.md)")
     v.add_argument("--preemptions", type=int, default=None, metavar="K",
                    help="restrict the search to runs with at most K context "
                         "switches (SC only) — an under-approximation: a "
                         "violation is real and replays on the full protocol, "
                         "a clean verdict is bounded confidence, never a "
-                        "proof. Search state like --reduce/--model: inherited "
-                        "on --resume, mismatch exits 2")
+                        "proof")
     v.add_argument("--profile", action="store_true",
                    help="time the pipeline phases through the telemetry span "
                         "system and print the hierarchical span tree "
@@ -888,7 +852,8 @@ def build_parser() -> argparse.ArgumentParser:
     l.set_defaults(func=cmd_litmus)
 
     f = sub.add_parser("fuzz", help="randomised per-run testing (Section 5)")
-    _add_protocol_args(f)
+    f.add_argument("protocol", choices=sorted(PROTOCOLS))
+    _add_size_args(f)
     f.add_argument("--runs", type=int, default=200)
     f.add_argument("--length", type=int, default=15)
     f.add_argument("--seed", type=int, default=0)
@@ -896,11 +861,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check traces up to this many ops against the brute-force oracle")
     f.set_defaults(func=cmd_fuzz)
 
+    rp = sub.add_parser(
+        "reproduce",
+        help="run every experiment condensed and print a markdown "
+             "reproduction report (exit 1 on any MISMATCH)",
+    )
+    rp.set_defaults(func=cmd_reproduce)
+
     r = sub.add_parser(
         "report",
-        help="with no arguments: run every experiment condensed and print a "
-             "markdown report. Given a trace and/or --ledger/--bench: render "
-             "a self-contained run report / trend document",
+        help="render a self-contained run report / trend document from a "
+             "trace and/or --ledger/--bench",
     )
     r.add_argument("trace", nargs="?", default=None,
                    help="trace JSONL (from --trace-log) or flight dump to "
@@ -918,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "self-contained page)")
     r.add_argument("-o", "--output", metavar="PATH", default=None,
                    help="write the report here instead of stdout")
-    r.set_defaults(func=cmd_report)
+    r.set_defaults(func=cmd_report, parser=r)
 
     ru = sub.add_parser(
         "runs",
@@ -963,27 +934,21 @@ def build_parser() -> argparse.ArgumentParser:
         "fault-matrix",
         help="verify every (protocol × injected fault) pair; fail if the checker "
              "misses a seeded non-SC fault",
+        description="Verify every (protocol × injected fault) pair and check "
+                    "the verdicts against the fault taxonomy "
+                    "(docs/ROBUSTNESS.md). --budget-s is one budget across all "
+                    "pairs. --reduce and --por apply to each pair whose "
+                    "protocol declares a symmetry or POR spec; faulted pairs "
+                    "run unreduced and fully expanded, since a fault may break "
+                    "index-uniformity or a declared footprint.",
     )
     fm.add_argument("--protocols", metavar="NAMES", default=None,
                     help="comma-separated protocol names (default: a representative set)")
-    fm.add_argument("--mode", choices=["fast", "full"], default="fast")
-    fm.add_argument("--max-states", type=int, default=None)
-    fm.add_argument("--budget-s", type=float, default=None, metavar="S",
-                    help="total wall-clock budget across all pairs")
-    fm.add_argument("--seed", type=int, default=0)
+    _add_search_args(fm, "off")
+    fm.add_argument("--seed", type=int, default=0,
+                    help="fault-battery seed")
     fm.add_argument("--no-baseline", action="store_true",
                     help="skip the unfaulted baseline row per protocol")
-    fm.add_argument("--reduce", choices=list(REDUCE_LEVELS), default="off",
-                    help="symmetry-reduction level for pairs whose protocol "
-                         "declares a symmetry spec (search state, as in "
-                         "`verify`; matrix runs are one-shot, so the level "
-                         "simply applies to every eligible pair's fresh "
-                         "search. Faulted variants run unreduced — faults "
-                         "may break index-uniformity)")
-    fm.add_argument("--por", choices=list(POR_LEVELS), default="off",
-                    help="partial-order-reduction level for pairs whose "
-                         "protocol declares a POR spec (as in `verify`; "
-                         "protocols without one run fully expanded)")
     _add_telemetry_args(fm)
     fm.set_defaults(func=cmd_fault_matrix)
 
@@ -1010,9 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_metrics)
 
     b = sub.add_parser("bounds", help="Section 4.4 size-bound table")
-    b.add_argument("--p", type=int, default=None)
-    b.add_argument("--b", type=int, default=None)
-    b.add_argument("--v", type=int, default=None)
+    _add_size_args(b)
     b.set_defaults(func=cmd_bounds)
 
     return ap

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from ..modelcheck.counterexample import Counterexample
-from ..modelcheck.product import ProductResult, explore_product
+from ..modelcheck.product import ProductResult, ProductSearch
 from ..obs.stats import ExplorationStats
 from .descriptor import Symbol
 from .operations import Action
@@ -111,11 +111,16 @@ def _confidence_of(res: ProductResult) -> str:
 
 
 def result_from_product(
-    protocol: Protocol, res: ProductResult, model: str = "sc"
+    protocol: Protocol,
+    res: ProductResult,
+    model: str = "sc",
+    preemptions: Optional[int] = None,
 ) -> VerificationResult:
     """Lift a raw :class:`ProductResult` into the user-facing verdict
-    (shared by :func:`verify_protocol` and the budgeted harness)."""
-    return VerificationResult(
+    (shared by :func:`verify_protocol` and the budgeted harness).  A
+    clean search under a ``preemptions`` bound proves nothing beyond
+    the ≤K-switch slice of the run tree, so it is never a proof."""
+    result = VerificationResult(
         protocol=protocol.describe(),
         sequentially_consistent=res.ok,
         complete=not res.stats.truncated,
@@ -125,6 +130,10 @@ def result_from_product(
         confidence=_confidence_of(res),
         model=model,
     )
+    if preemptions is not None and result.counterexample is None:
+        result.complete = False
+        result.confidence = f"bounded(preemptions<={preemptions})"
+    return result
 
 
 def verify_protocol(
@@ -155,7 +164,7 @@ def verify_protocol(
     construction; ``mode="full"`` carries the paper's complete
     protocol-independent checker through the product — same verdicts,
     far more joint states (see
-    :func:`repro.modelcheck.product.explore_product`).
+    :class:`repro.modelcheck.product.ProductSearch`).
 
     ``should_stop(stats)`` is a cooperative budget hook (see
     :class:`repro.harness.Budget`): returning a reason string halts
@@ -201,25 +210,18 @@ def verify_protocol(
             protocol=protocol.describe(), mode=mode,
             reduce=reduce, model=model, por=por, **extra,
         )
-    res: ProductResult = explore_product(
+    res = ProductSearch(
         protocol,
         st_order,
         mode=mode,
         max_states=max_states,
         max_depth=max_depth,
-        should_stop=should_stop,
         reduce=reduce,
         model=model,
         preemptions=preemptions,
         por=por,
-        telemetry=telemetry,
-    )
-    result = result_from_product(protocol, res, model=model)
-    if preemptions is not None and result.counterexample is None:
-        # a clean bounded search proves nothing beyond the <=K-switch
-        # slice of the run tree: never a proof
-        result.complete = False
-        result.confidence = f"bounded(preemptions<={preemptions})"
+    ).run(should_stop, telemetry)
+    result = result_from_product(protocol, res, model, preemptions)
     if telemetry is not None:
         telemetry.finish_run(
             verdict=result.verdict,

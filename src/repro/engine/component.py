@@ -297,7 +297,7 @@ class ComposedSystem(System):
         if reduce != "off" and not self.model.supports_reduction:
             raise ModelError(
                 f"model {self.model.name!r} does not support --reduce "
-                f"(its observer implements no permuted snapshot)"
+                f"(its observer's canonical_snapshot takes no permutation)"
             )
         self.reduction = build_reduction(protocol, reduce)
         self.por = por

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.verify import VerificationResult, verify_protocol
+from ..memory import NON_SC_PROTOCOLS, build_protocol
 from ..util import format_table
 from .spec import (
     EXPECT_NO_COUNTEREXAMPLE,
@@ -48,12 +49,6 @@ __all__ = ["MatrixEntry", "MatrixReport", "fault_matrix", "DEFAULT_MATRIX_PROTOC
 
 #: default protocol set: modest state spaces, every fault kind exercised
 DEFAULT_MATRIX_PROTOCOLS = ("msi", "mesi", "write-through", "serial")
-
-#: registry names whose *unmodified* baseline is expected non-SC
-NON_SC_BASELINES = frozenset(
-    {"storebuffer", "buggy-msi", "buggy-msi-nowb", "buggy-msi-stale-s"}
-)
-
 
 @dataclass(frozen=True)
 class MatrixEntry:
@@ -147,7 +142,7 @@ def fault_matrix(
 ) -> MatrixReport:
     """Verify every (protocol × fault) pair.
 
-    ``protocols`` are registry names (see ``repro.cli.PROTOCOLS``);
+    ``protocols`` are registry names (see :data:`repro.memory.PROTOCOLS`);
     defaults to :data:`DEFAULT_MATRIX_PROTOCOLS`.  ``should_stop`` is a
     cooperative budget hook shared across all pairs (each pair has its
     own stats, so a state budget applies per pair while a wall-clock
@@ -167,22 +162,14 @@ def fault_matrix(
     ``fault_activated`` trace event per pair plus each pair's full run
     trace.
     """
-    from ..cli import PROTOCOLS  # deferred: the CLI owns the registry
-
     names = list(protocols) if protocols else list(DEFAULT_MATRIX_PROTOCOLS)
     make_faults = faults_for or standard_faults
     report = MatrixReport()
     for name in names:
-        if name not in PROTOCOLS:
-            raise ValueError(
-                f"unknown protocol {name!r} (known: {', '.join(sorted(PROTOCOLS))})"
-            )
-        ctor, gen_factory, (dp, db, dv) = PROTOCOLS[name]
-        proto = ctor(p=dp, b=db, v=dv)
-        gen = gen_factory() if gen_factory is not None else None
+        proto, gen = build_protocol(name)
         jobs: List[Tuple[str, str, object, object]] = []
         if include_baseline:
-            expect = EXPECT_REJECT if name in NON_SC_BASELINES else EXPECT_SC
+            expect = EXPECT_REJECT if name in NON_SC_PROTOCOLS else EXPECT_SC
             jobs.append(("(none)", expect, proto, gen))
         for spec in make_faults(proto, gen, seed=seed):
             fproto, fgen = apply_faults(proto, gen, [spec])

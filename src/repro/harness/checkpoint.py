@@ -6,9 +6,9 @@ record, never a live object graph: every joint state of the product is
 fixed by the protocol, the search configuration and the action path
 from the initial state.  The record holds the search provenance (the
 run ledger's :data:`~repro.obs.ledger.PROVENANCE_FIELDS`), the rest of
-the ``ProductSearch(...)`` arguments (the ``repro.cli.PROTOCOLS``
-registry name with p/b/v, caps, ablation switches, store
-configuration), :meth:`SearchEngine.snapshot
+the ``ProductSearch(...)`` arguments (the
+:data:`repro.memory.PROTOCOLS` registry name with p/b/v, caps,
+ablation switches, store configuration), :meth:`SearchEngine.snapshot
 <repro.engine.SearchEngine.snapshot>` and the budget already spent.
 docs/ROBUSTNESS.md describes it field by field.
 
@@ -51,6 +51,7 @@ from typing import Dict, Optional, Tuple
 from ..core.operations import InternalAction, Load, Store
 from ..core.storder import describe_generator
 from ..engine.intern import StoreConfig
+from ..memory import PROTOCOLS, build_protocol
 from ..modelcheck.product import ProductSearch
 from ..obs.ledger import PROVENANCE_FIELDS, search_provenance
 
@@ -149,11 +150,9 @@ def _scalars(obj) -> Dict[str, object]:
 
 
 def _registry_name(search: ProductSearch) -> str:
-    """The ``repro.cli.PROTOCOLS`` name whose entry rebuilds
+    """The :data:`repro.memory.PROTOCOLS` name whose entry rebuilds
     ``search``'s protocol and generator, or a
     :class:`CheckpointError` naming why none does."""
-    from ..cli import PROTOCOLS  # deferred: the CLI owns the registry
-
     proto = search.protocol
     for name, (ctor, gen_factory, _defaults) in PROTOCOLS.items():
         if type(proto) is not ctor:
@@ -173,7 +172,7 @@ def _registry_name(search: ProductSearch) -> str:
         return name
     raise CheckpointError(
         f"cannot checkpoint {proto.describe()}: only protocols of the "
-        f"repro.cli.PROTOCOLS registry, built from p/b/v alone, can be "
+        f"repro.memory.PROTOCOLS registry, built from p/b/v alone, can be "
         f"rebuilt on resume; checkpoints do not pickle protocol objects"
     )
 
@@ -219,19 +218,18 @@ class Checkpoint:
         not rebuild: an unknown registry name, different provenance,
         or a rebuilt key that differs from the stored one.
         """
-        from ..cli import PROTOCOLS  # deferred: the CLI owns the registry
-
         prov, build = self.provenance, self.build
         if build.get("protocol") not in PROTOCOLS:
             raise CheckpointError(
                 f"checkpoint names protocol {build.get('protocol')!r}, which "
                 f"this build's registry does not have"
             )
-        ctor, gen_factory, _defaults = PROTOCOLS[build["protocol"]]
         try:
             search = ProductSearch(
-                ctor(p=build["p"], b=build["b"], v=build["v"]),
-                None if prov["generator"] == "real-time" else gen_factory(),
+                *build_protocol(
+                    build["protocol"], build["p"], build["b"], build["v"],
+                    real_time=prov["generator"] == "real-time",
+                ),
                 mode=prov["mode"],
                 strategy=prov["strategy"],
                 seed=prov["seed"] if prov["seed"] is not None else 0,

@@ -68,6 +68,8 @@ def degrade(
     *,
     budget: Budget,
     mode: str = "fast",
+    reduce: str = "off",
+    por: str = "off",
     fuzz_length: int = 12,
     max_fuzz_runs: int = 2000,
     seed: int = 0,
@@ -78,20 +80,38 @@ def degrade(
 
     Never raises on resource exhaustion and never hangs (every stage
     is budget-polled); the result's ``confidence`` field states which
-    rung of the ladder produced the verdict.  ``store`` picks the state-store backend for the model-check rungs
-    (run policy, see :mod:`repro.engine.intern`) — the litmus/fuzz
-    rungs hold no interned store, so it does not apply there.
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, optional) records a
-    ``degrade_stage`` trace event as each rung is entered.
+    rung of the ladder produced the verdict.  ``reduce``, ``por`` and
+    ``store`` configure the model-check rungs as in
+    :class:`~repro.modelcheck.product.ProductSearch`, except that the
+    depth-bounded rung runs without POR, which a depth bound makes
+    incomplete.  The litmus/fuzz rungs check single runs, so none of
+    the three applies there.  ``telemetry`` (a
+    :class:`repro.obs.Telemetry`, optional) records the run's
+    ``run_start`` / ``run_end`` events and a ``degrade_stage`` trace
+    event as each rung is entered.
     """
+    if telemetry is not None:
+        telemetry.start_run(
+            protocol=protocol.describe(), mode=mode, reduce=reduce, por=por,
+            degrade=True,
+        )
+        if telemetry.progress is not None:
+            telemetry.progress.budget = budget
+    search = dict(mode=mode, reduce=reduce, por=por, store=store)
     budget.start()
     try:
-        return _degrade(
-            protocol, st_order, budget, mode, fuzz_length, max_fuzz_runs, seed,
-            store, telemetry,
+        res = _degrade(
+            protocol, st_order, budget, search, fuzz_length, max_fuzz_runs,
+            seed, telemetry,
         )
     finally:
         budget.stop()
+    if telemetry is not None:
+        telemetry.finish_run(
+            verdict=res.verdict, states=res.stats.states,
+            confidence=res.confidence,
+        )
+    return res
 
 
 def _stage(telemetry, stage: str, **fields) -> None:
@@ -99,14 +119,15 @@ def _stage(telemetry, stage: str, **fields) -> None:
         telemetry.emit("degrade_stage", stage=stage, **fields)
 
 
-def _degrade(protocol, st_order, budget, mode, fuzz_length, max_fuzz_runs, seed,
-             store=None, telemetry=None):
+def _degrade(protocol, st_order, budget, search, fuzz_length, max_fuzz_runs,
+             seed, telemetry):
     # stage 1: the real thing, under most of the budget -----------------
     stage1 = budget.slice(0.6)
     stage1.start()
     _stage(telemetry, "model-check")
-    search = ProductSearch(protocol, st_order, mode=mode, store=store)
-    res = search.run(stage1.should_stop, telemetry)
+    res = ProductSearch(protocol, st_order, **search).run(
+        stage1.should_stop, telemetry
+    )
     base = result_from_product(protocol, res)
     if res.counterexample is not None or not res.stats.truncated:
         return base  # proof, refutation, or genuine INCONCLUSIVE
@@ -120,9 +141,12 @@ def _degrade(protocol, st_order, budget, mode, fuzz_length, max_fuzz_runs, seed,
         stage2 = budget.slice(0.5)
         stage2.start()
         _stage(telemetry, "bounded-depth", depth=depth)
+        # POR stays off here: an ample-set search may reach a state only
+        # by a longer run than the full graph does, so under a depth
+        # bound it would not cover every run of <= depth actions
         bounded = ProductSearch(
-            protocol, st_order, mode=mode, max_depth=depth,
-            check_quiescence_reachability=False, store=store,
+            protocol, st_order, max_depth=depth,
+            check_quiescence_reachability=False, **dict(search, por="off"),
         ).run(stage2.should_stop, telemetry)
         if bounded.counterexample is not None:
             return result_from_product(protocol, bounded)

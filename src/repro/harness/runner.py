@@ -276,10 +276,9 @@ def _run_verification(
                 states=res.stats.states,
                 elapsed_s=round(spent, 6),
             )
-    result = result_from_product(search.protocol, res, model=search.model_name)
-    if search.preemptions is not None and result.counterexample is None:
-        result.complete = False
-        result.confidence = f"bounded(preemptions<={search.preemptions})"
+    result = result_from_product(
+        search.protocol, res, search.model_name, search.preemptions
+    )
     if telemetry is not None:
         telemetry.finish_run(
             verdict=result.verdict,

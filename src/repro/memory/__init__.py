@@ -20,6 +20,10 @@ Protocol                     SC?    Notable feature
 :class:`BuggyMSIStaleSharedProtocol` no  AcquireS reads stale memory
 :class:`Figure4Protocol`     —      tracking-label demo (Figure 4)
 ===========================  =====  ==============================
+
+:data:`PROTOCOLS` names every protocol but the Figure 4 demo, and
+:func:`build_protocol` builds one from its name (see
+:mod:`repro.memory.registry`).
 """
 
 from .base import LocationMap, MemoryProtocol
@@ -37,6 +41,7 @@ from .lazy_caching import LazyCachingProtocol, lazy_caching_st_order
 from .mesi import MESIProtocol
 from .moesi import MOESIProtocol
 from .msi import MSIProtocol
+from .registry import NON_SC_PROTOCOLS, PROTOCOLS, build_protocol
 from .serial_memory import SerialMemory
 from .store_buffer import StoreBufferProtocol, store_buffer_st_order
 from .write_through import WriteThroughProtocol
@@ -63,4 +68,7 @@ __all__ = [
     "Figure4Protocol",
     "figure4_run",
     "figure4_steps",
+    "PROTOCOLS",
+    "NON_SC_PROTOCOLS",
+    "build_protocol",
 ]

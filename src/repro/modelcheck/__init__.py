@@ -3,7 +3,7 @@ protocol × observer × checker product exploration of Figure 2."""
 
 from .counterexample import Counterexample
 from .explorer import count_actions, explore, reachable_states
-from .product import ProductResult, ProductSearch, explore_product
+from .product import ProductResult, ProductSearch
 from ..obs.stats import ExplorationStats
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "ProductResult",
     "ProductSearch",
     "explore",
-    "explore_product",
     "count_actions",
     "reachable_states",
 ]

@@ -14,7 +14,7 @@ quiescent extension (every added STo/forced edge is implied by a path
 there), so acyclicity and validity at quiescent states imply a serial
 reordering for every prefix trace.  For this to cover all behaviour,
 quiescence must be reachable from every state — which
-:func:`explore_product` verifies on the explored graph.
+:class:`ProductSearch` verifies on the explored graph.
 
 Since the unified-engine refactor this module is a thin adapter: the
 composition lives in :class:`repro.engine.ComposedSystem`, and the
@@ -25,8 +25,7 @@ checkpoints — in :class:`repro.engine.SearchEngine`.
 object whose ``run`` can be halted by a budget hook
 (:mod:`repro.harness.budget`) mid-frontier, checkpointed as a data
 record (:mod:`repro.harness.checkpoint`) and continued exactly where
-it stopped.  :func:`explore_product` remains the one-shot functional
-entry point.
+it stopped; a one-shot search is ``ProductSearch(...).run()``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from ..engine.strategy import StopHook
 from ..obs.stats import ExplorationStats
 from .counterexample import Counterexample
 
-__all__ = ["ProductResult", "ProductSearch", "explore_product"]
+__all__ = ["ProductResult", "ProductSearch"]
 
 #: reusable no-op context for un-instrumented spans
 _NULL_CTX = contextlib.nullcontext()
@@ -285,50 +284,3 @@ class ProductSearch:
             out.non_quiescible == 0, None, out.stats, out.non_quiescible
         )
 
-
-def explore_product(
-    protocol: Protocol,
-    st_order: Optional[STOrderGenerator] = None,
-    *,
-    mode: str = "full",
-    max_states: Optional[int] = None,
-    max_depth: Optional[int] = None,
-    check_quiescence_reachability: bool = True,
-    canonical_ids: bool = True,
-    eager_free: bool = True,
-    unpin_heads: bool = True,
-    strategy: str = "bfs",
-    seed: int = 0,
-    stop_on_violation: bool = True,
-    reduce: str = "off",
-    model: str = "sc",
-    preemptions: Optional[int] = None,
-    por: str = "off",
-    store=None,
-    should_stop: Optional[StopHook] = None,
-    telemetry=None,
-) -> ProductResult:
-    """Run the verification search in one shot (see
-    :class:`ProductSearch` for the knobs and resumable form).  ``telemetry``
-    (a :class:`repro.obs.Telemetry`) turns on traces/metrics/progress
-    for this run."""
-    search = ProductSearch(
-        protocol,
-        st_order,
-        mode=mode,
-        max_states=max_states,
-        max_depth=max_depth,
-        check_quiescence_reachability=check_quiescence_reachability,
-        canonical_ids=canonical_ids,
-        eager_free=eager_free,
-        unpin_heads=unpin_heads,
-        strategy=strategy,
-        seed=seed,
-        stop_on_violation=stop_on_violation,
-        reduce=reduce,
-        model=model,
-        preemptions=preemptions,
-        por=por,
-        store=store,
-    )
-    return search.run(should_stop, telemetry)

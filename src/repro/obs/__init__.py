@@ -4,7 +4,7 @@ Observability for the verification pipeline:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: low-overhead
   counters, gauges and monotonic-clock timers/spans, snapshot-able
-  and deterministically mergeable; spans nest into a ``/``-pathed hierarchy
+  and diffable; spans nest into a ``/``-pathed hierarchy
   rendered by :func:`format_span_tree`;
 * :mod:`repro.obs.trace` — :class:`TraceWriter`: structured JSONL run
   traces (run lifecycle, heartbeats, degrade steps, checkpoints, fault activations, violations, spans) behind a
@@ -42,7 +42,6 @@ from .ledger import (
     search_provenance,
 )
 from .metrics import (
-    NULL_REGISTRY,
     MetricsRegistry,
     MetricsSnapshot,
     format_span_tree,
@@ -63,7 +62,6 @@ __all__ = [
     "LedgerError",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "NULL_REGISTRY",
     "ProgressReporter",
     "RunLedger",
     "Telemetry",

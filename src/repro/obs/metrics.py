@@ -10,18 +10,17 @@ Three metric kinds:
 * **gauges** — last-written (or high-water, ``gauge_max``) values:
   state counts at run end, queue depths;
 * **timers** — named spans over ``time.perf_counter`` (monotonic), used
-  as context managers; each records call count, total and max seconds.
+  as nesting context managers (:meth:`MetricsRegistry.span`) or fed
+  pre-aggregated batches; each records call count, total and max
+  seconds.
 
 The **overhead contract**: telemetry is opt-in, and every call site in
 a hot path is guarded by the owning :class:`~repro.obs.telemetry.
 Telemetry` being active — a run with all telemetry flags off executes
-*zero* registry calls, so verdict timings cannot regress.  Where a
-registry object must exist unconditionally, use :data:`NULL_REGISTRY`,
-whose methods are no-ops.
+*zero* registry calls, so verdict timings cannot regress.
 
 A registry is summarised by :meth:`MetricsRegistry.snapshot` into a
-:class:`MetricsSnapshot` — plain dicts, JSON round-trippable, with
-deterministic merge (counters sum, gauges max, timers fold) and a
+:class:`MetricsSnapshot` — plain dicts, JSON round-trippable, with a
 field-wise :meth:`~MetricsSnapshot.diff` (see
 ``docs/OBSERVABILITY.md``).
 """
@@ -35,7 +34,6 @@ from typing import Dict, List, Optional, Tuple
 __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
-    "NULL_REGISTRY",
     "SPAN_SEP",
     "span_tree_rows",
     "format_span_tree",
@@ -43,23 +41,6 @@ __all__ = [
 
 #: separator between parent and child in hierarchical span timer names
 SPAN_SEP = "/"
-
-
-class _Span:
-    """A running timer; records into the registry on ``__exit__``."""
-
-    __slots__ = ("_registry", "_name", "_t0")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-
-    def __enter__(self) -> "_Span":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._registry.observe_s(self._name, time.perf_counter() - self._t0)
 
 
 class _TreeSpan:
@@ -89,24 +70,6 @@ class _TreeSpan:
         if stack and stack[-1] == self.path:
             stack.pop()
         self._registry.observe_s(self.path, dt)
-
-
-class _NullSpan:
-    """Shared no-op span for :data:`NULL_REGISTRY`."""
-
-    __slots__ = ()
-
-    #: mirrors :attr:`_TreeSpan.path` for callers that label by it
-    path = ""
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class MetricsRegistry:
@@ -141,10 +104,6 @@ class MetricsRegistry:
         """Raise gauge ``name`` to ``value`` if larger (high-water)."""
         if value > self.gauges.get(name, float("-inf")):
             self.gauges[name] = value
-
-    def timer(self, name: str) -> _Span:
-        """A context-manager span recording into timer ``name``."""
-        return _Span(self, name)
 
     def span(self, name: str) -> _TreeSpan:
         """A *nesting* span: the timer it records is named by the full
@@ -192,57 +151,6 @@ class MetricsRegistry:
             timers={k: {"count": v[0], "total_s": v[1], "max_s": v[2]}
                     for k, v in self.timers.items()},
         )
-
-    def merge_snapshot(self, snap: "MetricsSnapshot", prefix: str = "") -> None:
-        """Fold a snapshot in: counters sum, gauges take max, timers
-        fold count/total/max.  ``prefix`` namespaces the incoming
-        metrics (e.g. ``"run1."`` when folding several runs together)."""
-        for k, v in snap.counters.items():
-            self.inc(prefix + k, v)
-        for k, v in snap.gauges.items():
-            self.gauge_max(prefix + k, v)
-        for k, t in snap.timers.items():
-            name = prefix + k
-            cur = self.timers.get(name)
-            if cur is None:
-                self.timers[name] = [t["count"], t["total_s"], t["max_s"]]
-            else:
-                cur[0] += t["count"]
-                cur[1] += t["total_s"]
-                if t["max_s"] > cur[2]:
-                    cur[2] = t["max_s"]
-
-
-class _NullRegistry(MetricsRegistry):
-    """All-methods-no-op registry; safe to share (never mutated)."""
-
-    __slots__ = ()
-
-    def inc(self, name: str, n: float = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def gauge_max(self, name: str, value: float) -> None:
-        pass
-
-    def timer(self, name: str) -> _NullSpan:  # type: ignore[override]
-        return _NULL_SPAN
-
-    def span(self, name: str) -> _NullSpan:  # type: ignore[override]
-        return _NULL_SPAN
-
-    def observe_s(self, name: str, seconds: float) -> None:
-        pass
-
-    def observe_many(self, name: str, count: int, total_s: float) -> None:
-        pass
-
-
-#: the disabled registry: every method a no-op, snapshots always empty
-NULL_REGISTRY = _NullRegistry()
-
 
 @dataclass
 class MetricsSnapshot:

@@ -14,7 +14,8 @@ Format — one action per line, ``#`` comments, one header line::
     ST(P1,B1,1)
     LD(P1,B1,1)
 
-The protocol name comes from the CLI registry (``repro.cli.PROTOCOLS``)
+The protocol name comes from the protocol registry
+(:data:`repro.memory.PROTOCOLS`)
 and brings its default ST-order generator along; LD/ST lines use the
 paper notation (``⊥`` or ``bot`` for the initial value), internal
 actions are ``Name(int,int,...)`` as printed by the library.
@@ -28,6 +29,7 @@ from .core.operations import Action, InternalAction, parse_operation
 from .core.protocol import Protocol
 from .core.storder import STOrderGenerator
 from .core.verify import RunCheck, check_run
+from .memory import build_protocol
 
 __all__ = ["parse_action", "parse_run_file", "check_run_file"]
 
@@ -53,18 +55,13 @@ def parse_action(line: str) -> Action:
     return InternalAction(name, args)
 
 
-def _parse_header(line: str, PROTOCOLS) -> Tuple[Protocol, Optional[STOrderGenerator]]:
+def _parse_header(line: str) -> Tuple[Protocol, Optional[STOrderGenerator]]:
     """Parse one ``protocol:`` header line (no line-number context)."""
     fields = line.split(":", 1)[1].split()
     if not fields:
         raise ValueError("missing protocol name")
     name, params = fields[0], fields[1:]
-    if name not in PROTOCOLS:
-        raise ValueError(
-            f"unknown protocol {name!r} (known: {', '.join(sorted(PROTOCOLS))})"
-        )
-    ctor, gen_factory, (dp, db, dv) = PROTOCOLS[name]
-    kw = {"p": dp, "b": db, "v": dv}
+    kw = {"p": None, "b": None, "v": None}
     for item in params:
         if "=" not in item:
             raise ValueError(f"bad parameter {item!r}")
@@ -75,9 +72,7 @@ def _parse_header(line: str, PROTOCOLS) -> Tuple[Protocol, Optional[STOrderGener
             kw[k] = int(val)
         except ValueError:
             raise ValueError(f"non-integer value for parameter {k!r}: {val!r}") from None
-    protocol = ctor(**kw)
-    gen = gen_factory() if gen_factory is not None else None
-    return protocol, gen
+    return build_protocol(name, **kw)
 
 
 def parse_run_file(text: str):
@@ -87,14 +82,9 @@ def parse_run_file(text: str):
     — a log with three typos produces one ``ValueError`` naming all
     three line numbers, not three successive parse-fix-reparse rounds.
     A file with a single bad line keeps the familiar
-    ``line N: <reason>`` message.
-
-    The protocol registry lives in the CLI module to keep this module
-    import-light; an unknown protocol name is reported with the known
-    ones listed.
+    ``line N: <reason>`` message.  An unknown protocol name is
+    reported with the known ones listed.
     """
-    from .cli import PROTOCOLS
-
     protocol: Optional[Protocol] = None
     gen: Optional[STOrderGenerator] = None
     run: List[Action] = []
@@ -110,7 +100,7 @@ def parse_run_file(text: str):
                 continue
             saw_header = True
             try:
-                protocol, gen = _parse_header(line, PROTOCOLS)
+                protocol, gen = _parse_header(line)
             except ValueError as exc:
                 errors.append(f"line {lineno}: {exc}")
             continue

@@ -9,7 +9,7 @@ from repro.memory import (
     StoreBufferProtocol,
     store_buffer_st_order,
 )
-from repro.modelcheck.product import explore_product
+from repro.modelcheck.product import ProductSearch
 
 ABLATIONS = [
     {"canonical_ids": False},
@@ -21,34 +21,34 @@ ABLATIONS = [
 
 @pytest.mark.parametrize("kw", ABLATIONS, ids=lambda k: "+".join(sorted(k)))
 def test_sc_verdict_unchanged(kw):
-    base = explore_product(SerialMemory(p=2, b=1, v=1), mode="fast")
-    res = explore_product(SerialMemory(p=2, b=1, v=1), mode="fast", max_states=50_000, **kw)
+    base = ProductSearch(SerialMemory(p=2, b=1, v=1), mode="fast").run()
+    res = ProductSearch(SerialMemory(p=2, b=1, v=1), mode="fast", max_states=50_000, **kw).run()
     assert res.ok == base.ok is True
     assert res.stats.states >= base.stats.states
 
 
 @pytest.mark.parametrize("kw", ABLATIONS, ids=lambda k: "+".join(sorted(k)))
 def test_violation_verdict_unchanged(kw):
-    res = explore_product(
+    res = ProductSearch(
         BuggyMSIProtocol(p=2, b=1, v=1), mode="fast", max_states=50_000, **kw
-    )
+    ).run()
     assert not res.ok
     assert res.counterexample is not None
 
 
 def test_ablations_apply_in_full_mode_too():
-    res = explore_product(
+    res = ProductSearch(
         SerialMemory(p=1, b=1, v=1), mode="full", eager_free=False, max_states=20_000
-    )
+    ).run()
     assert res.ok
 
 
 def test_store_buffer_violation_found_without_eager_free():
-    res = explore_product(
+    res = ProductSearch(
         StoreBufferProtocol(p=2, b=2, v=1),
         store_buffer_st_order(),
         mode="fast",
         eager_free=False,
         max_states=100_000,
-    )
+    ).run()
     assert not res.ok and res.counterexample is not None

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import PROTOCOLS, build_parser, main
+from repro.cli import build_parser, main
+from repro.memory import PROTOCOLS
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +190,29 @@ def test_verify_degrade_needs_wall_budget(capsys):
 def test_verify_degrade_with_budget(capsys):
     code, out = run_cli(capsys, "verify", "serial", "--degrade", "--budget-s", "30")
     assert code == 0
+
+
+def test_verify_degrade_honours_reduce_and_por(capsys):
+    _, plain = run_cli(capsys, "verify", "msi", "--reduce", "full", "--por", "on")
+    code, out = run_cli(
+        capsys, "verify", "msi", "--degrade", "--budget-s", "60",
+        "--reduce", "full", "--por", "on",
+    )
+    assert code == 0
+    assert "1095 joint states" in plain
+    assert out.splitlines()[0] == plain.splitlines()[0]
+
+
+@pytest.mark.parametrize("flag", [
+    ("--ledger", "L.jsonl"), ("--checkpoint", "C.ckpt"), ("--max-states", "10"),
+    ("--max-depth", "3"), ("--strategy", "dfs"),
+])
+def test_verify_degrade_refuses_flags_it_cannot_honour(capsys, tmp_path, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, "verify", "msi", "--degrade", "--budget-s", "5", *flag)
+    assert code == 2
+    assert f"drop {flag[0]}" in out
+    assert not list(tmp_path.iterdir())
 
 
 def test_fault_matrix_cli(capsys):
@@ -450,6 +474,42 @@ def test_report_renders_a_flight_dump(capsys, tmp_path, monkeypatch):
     assert dump.exists()
     code, out = run_cli(capsys, "report", str(dump))
     assert code == 0 and "violation_found" in out
+
+
+def test_report_without_input_is_a_usage_error(capsys):
+    code, out = run_cli(capsys, "report")
+    assert code == 2
+    assert out.startswith("usage: repro report") and "repro reproduce" in out
+
+
+def test_library_modules_do_not_import_the_cli():
+    """Only the CLI and ``python -m repro`` import ``repro.cli``; the
+    library (checkpoints, fault matrix, run files) gets protocols from
+    :mod:`repro.memory`."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel in ("cli.py", "__main__.py"):
+            continue
+        package = ["repro", *path.relative_to(root).parent.parts]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "repro.cli" or n.startswith("repro.cli.") for n in names):
+                offenders.append(f"{rel}:{node.lineno}")
+    assert offenders == []
 
 
 def test_report_corrupt_trace_exit_2(capsys, tmp_path):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import NON_SC_PROTOCOLS, PROTOCOLS
 from repro.difftest import (
     DETERMINISTIC_GAUGES,
     SearchFingerprint,
@@ -31,7 +30,7 @@ from repro.difftest import (
     divergence_report,
     fingerprint,
 )
-from repro.memory import BUGGY_VARIANTS
+from repro.memory import BUGGY_VARIANTS, NON_SC_PROTOCOLS, PROTOCOLS
 
 STRATEGIES = ("bfs", "dfs", "random-walk")
 

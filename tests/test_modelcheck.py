@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.operations import trace_of_run
 from repro.core.serial import is_sequentially_consistent_trace
-from repro.modelcheck import explore, explore_product, count_actions, reachable_states
+from repro.modelcheck import ProductSearch, explore, count_actions, reachable_states
 from repro.memory import (
     BuggyMSIProtocol,
     MSIProtocol,
@@ -47,9 +47,9 @@ def test_msi_has_internal_actions():
 
 def test_product_verifies_serial_memory_both_modes():
     for mode in ("fast", "full"):
-        res = explore_product(
+        res = ProductSearch(
             SerialMemory(p=1, b=1, v=1), mode=mode, max_states=100_000
-        )
+        ).run()
         assert res.ok, res.counterexample
         assert res.stats.quiescent_states == res.stats.states
 
@@ -58,7 +58,7 @@ def test_product_modes_agree_on_violation():
     proto = StoreBufferProtocol(p=2, b=2, v=1)
     gen = store_buffer_st_order()
     for mode in ("fast", "full"):
-        res = explore_product(proto, gen.copy(), mode=mode, max_states=500_000)
+        res = ProductSearch(proto, gen.copy(), mode=mode, max_states=500_000).run()
         assert not res.ok
         cx = res.counterexample
         assert cx is not None
@@ -68,7 +68,7 @@ def test_product_modes_agree_on_violation():
 
 def test_counterexample_is_replayable():
     proto = BuggyMSIProtocol(p=2, b=1, v=1)
-    res = explore_product(proto, mode="fast")
+    res = ProductSearch(proto, mode="fast").run()
     cx = res.counterexample
     assert cx is not None
     assert proto.is_run(cx.run)
@@ -88,7 +88,7 @@ def test_bfs_counterexample_is_minimal_detected_run():
 
     proto = StoreBufferProtocol(p=2, b=2, v=1, depth=1)
     gen = store_buffer_st_order()
-    res = explore_product(proto, gen.copy(), mode="fast")
+    res = ProductSearch(proto, gen.copy(), mode="fast").run()
     cx = res.counterexample
     assert cx is not None
     for r in enumerate_runs(proto, len(cx.run) - 1):
@@ -104,10 +104,10 @@ def test_bfs_counterexample_is_minimal_detected_run():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        explore_product(SerialMemory(p=1, b=1, v=1), mode="bogus")
+        ProductSearch(SerialMemory(p=1, b=1, v=1), mode="bogus").run()
 
 
 def test_stats_capture_observer_metrics():
-    res = explore_product(SerialMemory(p=2, b=1, v=1), mode="fast")
+    res = ProductSearch(SerialMemory(p=2, b=1, v=1), mode="fast").run()
     assert res.stats.max_live_nodes >= 1
     assert res.stats.max_descriptor_ids >= res.stats.max_live_nodes

@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from repro.cli import PROTOCOLS, main
+from repro.cli import main
 from repro.core.operations import LD, ST, Operation
 from repro.core.protocol import random_run
 from repro.core.verify import check_run, verify_protocol
@@ -40,6 +40,7 @@ from repro.engine.sharding import stable_hash
 from repro.harness import Budget, CheckpointError, run_verification
 from repro.litmus import check_trace_causal, check_trace_store_orders
 from repro.memory import (
+    PROTOCOLS,
     BuggyMSIProtocol,
     MSIProtocol,
     SerialMemory,

@@ -13,11 +13,10 @@ import io
 import pytest
 
 from repro.memory import MSIProtocol
-from repro.modelcheck.product import explore_product
+from repro.modelcheck.product import ProductSearch
 from repro.obs import (
     MetricsRegistry,
     MetricsSnapshot,
-    NULL_REGISTRY,
     ProgressReporter,
     Telemetry,
     TraceWriter,
@@ -44,49 +43,6 @@ def test_counters_gauges_timers_roundtrip():
     assert snap.timers["span"] == {"count": 2, "total_s": 2.0, "max_s": 1.5}
     # JSON round trip
     assert MetricsSnapshot.from_dict(snap.as_dict()) == snap
-
-
-def test_timer_span_context_manager_records():
-    reg = MetricsRegistry()
-    with reg.timer("t"):
-        pass
-    with reg.timer("t"):
-        pass
-    t = reg.snapshot().timers["t"]
-    assert t["count"] == 2
-    assert t["total_s"] >= t["max_s"] >= 0
-
-
-def test_null_registry_is_inert():
-    NULL_REGISTRY.inc("x")
-    NULL_REGISTRY.gauge("x", 1)
-    NULL_REGISTRY.gauge_max("x", 1)
-    NULL_REGISTRY.observe_s("x", 1.0)
-    with NULL_REGISTRY.timer("x"):
-        pass
-    snap = NULL_REGISTRY.snapshot()
-    assert snap.counters == {} and snap.gauges == {} and snap.timers == {}
-
-
-def test_merge_snapshot_semantics_and_prefix():
-    a = MetricsRegistry()
-    a.inc("n", 2)
-    a.gauge_max("peak", 10)
-    a.observe_s("t", 1.0)
-    b = MetricsRegistry()
-    b.inc("n", 3)
-    b.gauge_max("peak", 4)
-    b.observe_s("t", 2.0)
-    merged = MetricsRegistry()
-    merged.merge_snapshot(a.snapshot())
-    merged.merge_snapshot(b.snapshot())
-    snap = merged.snapshot()
-    assert snap.counters["n"] == 5  # counters sum
-    assert snap.gauges["peak"] == 10  # gauges max
-    assert snap.timers["t"] == {"count": 2, "total_s": 3.0, "max_s": 2.0}
-    shard = MetricsRegistry()
-    shard.merge_snapshot(a.snapshot(), prefix="shard0.")
-    assert shard.snapshot().counters == {"shard0.n": 2}
 
 
 def test_snapshot_diff_reports_only_differences():
@@ -193,9 +149,9 @@ def test_telemetry_finish_run_emits_metrics_then_run_end():
 
 def test_tracing_does_not_change_the_verdict_or_counts():
     def run(telemetry):
-        return explore_product(
-            MSIProtocol(p=2, b=1, v=1), mode="fast", telemetry=telemetry,
-        )
+        return ProductSearch(
+            MSIProtocol(p=2, b=1, v=1), mode="fast",
+        ).run(None, telemetry)
 
     plain = run(None)
     events = []

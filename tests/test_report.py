@@ -18,9 +18,14 @@ def test_report_all_checks_ok():
         assert heading in text
 
 
-def test_report_cli_exit_code(capsys):
+def test_report_cli_exit_code(capsys, monkeypatch):
+    """``repro reproduce`` prints the sweep and exits 1 on any MISMATCH
+    (the sweep itself is stubbed; the test above runs the real one)."""
+    import repro.report
     from repro.cli import main
 
-    assert main(["report"]) == 0
-    out = capsys.readouterr().out
-    assert "# Reproduction report" in out
+    for text, code in (("# Reproduction report\nok", 0),
+                       ("# Reproduction report\nMISMATCH", 1)):
+        monkeypatch.setattr(repro.report, "generate_report", lambda t=text: t)
+        assert main(["reproduce"]) == code
+        assert capsys.readouterr().out == text + "\n"

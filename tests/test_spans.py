@@ -10,10 +10,9 @@ phase span; and none of it perturbs verdicts or state counts.
 import pytest
 
 from repro.memory import MSIProtocol
-from repro.modelcheck.product import explore_product
+from repro.modelcheck.product import ProductSearch
 from repro.obs import (
     MetricsRegistry,
-    NULL_REGISTRY,
     Telemetry,
     TraceWriter,
     format_span_tree,
@@ -47,13 +46,6 @@ def test_sibling_spans_at_top_level_do_not_nest():
     with reg.span("b"):
         pass
     assert set(reg.snapshot().timers) == {"a", "b"}
-
-
-def test_null_registry_span_is_inert():
-    with NULL_REGISTRY.span("x") as s:
-        assert s.path == ""
-    NULL_REGISTRY.observe_many("x", 3, 0.5)
-    assert NULL_REGISTRY.snapshot().timers == {}
 
 
 def test_observe_many_folds_a_batch():
@@ -156,7 +148,7 @@ def test_telemetry_span_without_trace_still_times():
 
 def test_sequential_run_self_times_sum_to_search_total():
     t = Telemetry(registry=MetricsRegistry())
-    res = explore_product(MSIProtocol(p=2, b=1, v=1), mode="fast", telemetry=t)
+    res = ProductSearch(MSIProtocol(p=2, b=1, v=1), mode="fast").run(None, t)
     timers = t.registry.snapshot().timers
     assert "phase.search" in timers and "phase.search/expand" in timers
     # per-state instrumentation: one expand observation per state
@@ -170,9 +162,9 @@ def test_sequential_run_self_times_sum_to_search_total():
 
 def test_reduction_run_nests_canonicalize_under_expand():
     t = Telemetry(registry=MetricsRegistry())
-    explore_product(
-        MSIProtocol(p=2, b=1, v=1), mode="fast", reduce="proc", telemetry=t
-    )
+    ProductSearch(
+        MSIProtocol(p=2, b=1, v=1), mode="fast", reduce="proc",
+    ).run(None, t)
     timers = t.registry.snapshot().timers
     assert "phase.search/expand/canonicalize" in timers
     canon = timers["phase.search/expand/canonicalize"]
@@ -182,11 +174,11 @@ def test_reduction_run_nests_canonicalize_under_expand():
 
 
 def test_profiling_does_not_change_fingerprinted_counts():
-    plain = explore_product(MSIProtocol(p=2, b=1, v=1), mode="fast")
+    plain = ProductSearch(MSIProtocol(p=2, b=1, v=1), mode="fast").run()
     t = Telemetry(registry=MetricsRegistry(), trace=TraceWriter([]))
-    spanned = explore_product(
-        MSIProtocol(p=2, b=1, v=1), mode="fast", telemetry=t
-    )
+    spanned = ProductSearch(
+        MSIProtocol(p=2, b=1, v=1), mode="fast",
+    ).run(None, t)
     assert (plain.ok, plain.stats.states, plain.stats.transitions,
             plain.stats.quiescent_states) == (
         spanned.ok, spanned.stats.states, spanned.stats.transitions,

@@ -19,7 +19,7 @@ import sys
 
 import pytest
 
-from repro.cli import PROTOCOLS, main
+from repro.cli import main
 from repro.difftest import assert_equivalent, fingerprint
 from repro.engine.intern import (
     MemBackend,
@@ -30,6 +30,7 @@ from repro.engine.intern import (
     make_backend,
 )
 from repro.harness import Budget, run_verification
+from repro.memory import PROTOCOLS
 
 #: a resident cap small enough that every protocol in the fast tier
 #: spills constantly — the thrash regime the invariance must survive

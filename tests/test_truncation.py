@@ -9,7 +9,7 @@ the worst failure mode this repo can have.
 from repro.core.verify import verify_protocol
 from repro.memory import MSIProtocol, SerialMemory
 from repro.modelcheck.explorer import explore
-from repro.modelcheck.product import ProductSearch, explore_product
+from repro.modelcheck.product import ProductSearch
 
 
 FULL_MSI_PRODUCT_STATES = 4340  # fast-mode joint states at p=2, b=1, v=2
@@ -50,7 +50,7 @@ def test_explore_should_stop_records_reason():
 
 def test_product_cap_mid_frontier():
     # a cap far below the full space stops with a partial frontier
-    res = explore_product(MSIProtocol(p=2, b=1, v=2), mode="fast", max_states=50)
+    res = ProductSearch(MSIProtocol(p=2, b=1, v=2), mode="fast", max_states=50).run()
     assert res.ok  # no violation seen in the explored fragment
     assert res.stats.truncated
     # the cap stops queueing, not counting: the state being expanded
@@ -63,16 +63,16 @@ def test_product_cap_exactly_at_boundary():
     # cap == the exact size of the state space: every state is seen, but
     # the run is still reported truncated (the cap fired on admission of
     # the last state, so exhaustiveness was never established)
-    res = explore_product(
+    res = ProductSearch(
         MSIProtocol(p=2, b=1, v=2), mode="fast", max_states=FULL_MSI_PRODUCT_STATES
-    )
+    ).run()
     assert res.stats.states == FULL_MSI_PRODUCT_STATES
     assert res.stats.truncated
 
     # one above: the space is exhausted before the cap can fire
-    res = explore_product(
+    res = ProductSearch(
         MSIProtocol(p=2, b=1, v=2), mode="fast", max_states=FULL_MSI_PRODUCT_STATES + 1
-    )
+    ).run()
     assert res.stats.states == FULL_MSI_PRODUCT_STATES
     assert not res.stats.truncated
 
@@ -88,7 +88,7 @@ def test_product_cap_truncation_is_permanent():
 
 
 def test_product_depth_cap_truncates():
-    res = explore_product(MSIProtocol(p=2, b=1, v=2), mode="fast", max_depth=3)
+    res = ProductSearch(MSIProtocol(p=2, b=1, v=2), mode="fast", max_depth=3).run()
     assert res.stats.truncated
     assert res.stats.max_depth <= 3
 
@@ -96,7 +96,7 @@ def test_product_depth_cap_truncates():
 def test_truncated_search_skips_quiescence_reachability():
     # the closure argument needs the whole graph; on a truncated search
     # it must not report spurious non-quiescible states
-    res = explore_product(MSIProtocol(p=2, b=1, v=2), mode="fast", max_states=30)
+    res = ProductSearch(MSIProtocol(p=2, b=1, v=2), mode="fast", max_states=30).run()
     assert res.non_quiescible == 0
 
 
