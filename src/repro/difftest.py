@@ -83,7 +83,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core.protocol import Protocol
 from .core.storder import STOrderGenerator
 from .core.verify import check_run
-from .engine.sharding import stable_hash
+from .engine.hashing import stable_hash
 from .modelcheck.product import ProductSearch
 from .obs import MetricsRegistry, Telemetry, TraceWriter
 from .obs.ledger import search_provenance
@@ -119,7 +119,7 @@ class SearchFingerprint:
     """Everything two honest engines must agree on, plus provenance.
 
     ``violation_keys`` and ``canonical_violation`` hold
-    :func:`~repro.engine.sharding.stable_hash` values of canonical
+    :func:`~repro.engine.hashing.stable_hash` values of canonical
     state keys (the keys themselves contain unhashable-by-accident
     payloads in no engine, but hashes diff tersely).
     """

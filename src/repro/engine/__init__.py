@@ -33,6 +33,7 @@ from .component import (
     Step,
     System,
 )
+from .hashing import stable_hash
 from .intern import StateStore
 from .por import (
     POR_LEVELS,
@@ -42,7 +43,6 @@ from .por import (
     PorSpec,
     build_por,
 )
-from .sharding import stable_hash
 from ..obs.stats import ExplorationStats
 from .strategy import (
     BFSFrontier,

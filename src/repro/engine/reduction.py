@@ -303,9 +303,13 @@ class Permutation:
 def order_key(x):
     """A total order over every payload that appears in composed state
     keys (``None``, ints, strings, operations, nested tuples) — plain
-    ``min()`` over such keys raises ``TypeError`` the moment a
-    ``None`` location slot meets an int, so orbit minimization compares
-    through this recursive tagging instead."""
+    ``<`` over such keys raises ``TypeError`` the moment a ``None``
+    location slot meets an int, and operations do not order at all.
+
+    Orbit minimization compares keys natively and falls back to this
+    recursive tagging only when ``<`` raises (:func:`_less`).  It is
+    also the order :mod:`~repro.engine.por` sorts its schemas and
+    resources by."""
     if x is None:
         return (0,)
     if isinstance(x, bool):
@@ -323,6 +327,27 @@ def order_key(x):
     if isinstance(x, frozenset):
         return (5, tuple(sorted(order_key(e) for e in x)))
     return (6, repr(x))
+
+
+def _less(a, b, counters: Optional["ReductionCounters"] = None) -> bool:
+    """``order_key(a) < order_key(b)``, computed natively.
+
+    For keys built from ``None``, ``bool``, ``int``, ``str``,
+    :class:`Load`/:class:`Store` and nested tuples the two orders agree
+    wherever native ``<`` answers: native ``==`` holds exactly when the
+    tags are equal, so a tuple ``<`` is decided at the same first
+    unequal position, and there it either compares two ints or two
+    strings (as the tags do) or raises ``TypeError`` (``None`` against
+    an int, an int against a string, any operation).  Only then are the
+    tag trees built; ``counters.fallbacks`` counts those calls.  A
+    ``frozenset`` would order by subset without raising, so
+    :func:`_check_spec` keeps such atoms out of reduced protocols."""
+    try:
+        return a < b
+    except TypeError:
+        if counters is not None:
+            counters.fallbacks += 1
+        return order_key(a) < order_key(b)
 
 
 def _composed_key(ps: Tuple, obs, chk, perm: Permutation) -> Tuple:
@@ -345,12 +370,14 @@ class ReductionCounters:
 
     states: int = 0  #: composed states canonicalized
     orbit_hits: int = 0  #: canonicalizations won by a non-identity element
+    fallbacks: int = 0  #: key comparisons that raised and went through order_key
     canon_s: float = 0.0  #: wall seconds spent in orbit minimization
 
     def as_dict(self) -> dict:
         return {
             "states": self.states,
             "orbit_hits": self.orbit_hits,
+            "fallbacks": self.fallbacks,
             "canon_s": self.canon_s,
         }
 
@@ -422,12 +449,19 @@ class Reduction:
         compiled kernel can later slot into.  Stage 2 (observer walk +
         checker key, only for orbit-minimum ties) stays per-item.
 
+        Both stages compare the raw keys — permuted protocol states in
+        stage 1, composed keys among the ties in stage 2 — with native
+        ``<`` and ``==``; :func:`_less` builds :func:`order_key` trees
+        only for a comparison that raises ``TypeError``, so the minimum
+        is the :func:`order_key` minimum without paying for the trees.
+
         Tie order is preserved: for every item the ties accumulate in
         ``self.perms`` order, identity first, and the strict ``<``
         keeps identity on equal keys — so the winner (and therefore
         ``orbit_hits``) is exactly the sequential winner.
         """
         t0 = time.perf_counter()
+        c = self.counters
         n = len(items)
         best_pks: List[object] = [None] * n
         ties: List[List[Tuple[Permutation, Tuple]]] = [[] for _ in range(n)]
@@ -435,12 +469,11 @@ class Reduction:
             permute = self.permute_pstate
             for idx in range(n):
                 ps = permute(items[idx][0], perm)
-                pk = order_key(ps)
                 bp = best_pks[idx]
-                if bp is None or pk < bp:
-                    best_pks[idx] = pk
+                if bp is None or _less(ps, bp, c):
+                    best_pks[idx] = ps
                     ties[idx] = [(perm, ps)]
-                elif pk == bp:
+                elif ps == bp:
                     ties[idx].append((perm, ps))
 
         keys: List[Tuple] = []
@@ -454,21 +487,17 @@ class Reduction:
                 winner = perm
             else:
                 key = None
-                best_fk = None
                 winner = tied[0][0]
                 for perm, ps in tied:
                     cand = _composed_key(ps, obs, chk, perm)
-                    fk = order_key(cand)
                     # identity is first in self.perms, hence first among
                     # ties — strict < keeps it on equal keys
-                    if best_fk is None or fk < best_fk:
-                        best_fk = fk
+                    if key is None or _less(cand, key, c):
                         key = cand
                         winner = perm
             if not winner.is_identity:
                 hits += 1
             keys.append(key)
-        c = self.counters
         c.states += n
         c.orbit_hits += hits
         c.canon_s += time.perf_counter() - t0
@@ -502,9 +531,31 @@ def _check_content(content, p: int, b: int, v: int) -> None:
     raise ReductionError(f"unknown field content {content!r}")
 
 
+#: the key atoms on which native ``<``/``==`` agree with :func:`order_key`
+_NATIVE_ATOMS = (type(None), bool, int, str)
+
+
+def _check_atoms(x, where: str) -> None:
+    """Refuse a protocol state holding an atom that native comparison
+    would order differently from :func:`order_key` — a ``frozenset``
+    (``<`` is the subset order and never raises), a float, any class
+    with its own ``__lt__`` — since :func:`_less` trusts every answer
+    native ``<`` gives."""
+    if type(x) is tuple:
+        for e in x:
+            _check_atoms(e, where)
+    elif type(x) not in _NATIVE_ATOMS:
+        raise ReductionError(
+            f"{where} holds a {type(x).__name__} ({x!r}); symmetry "
+            f"reduction orders protocol states natively and admits only "
+            f"None, bool, int, str and tuples"
+        )
+
+
 def _check_spec(spec: SymmetrySpec, protocol) -> None:
     p, b, v = protocol.p, protocol.b, protocol.v
     init = protocol.initial_state()
+    _check_atoms(init, f"the initial state of {protocol.describe()}")
     if len(spec.state_fields) != len(init):
         raise ReductionError(
             f"symmetry spec declares {len(spec.state_fields)} state "

@@ -189,7 +189,7 @@ class SearchEngine:
     exhaustion, so the explored set — and therefore every counter —
     is independent of frontier strategy.  The final outcome reports the
     violation whose canonical key has the smallest
-    :func:`~repro.engine.sharding.stable_hash` (a strategy-independent
+    :func:`~repro.engine.hashing.stable_hash` (a strategy-independent
     choice).
     """
 
@@ -267,7 +267,7 @@ class SearchEngine:
     def _violation_outcome(self) -> SearchOutcome:
         """The canonical violation verdict: minimal by stable hash of
         the violating key, so exhaustive runs agree across strategies."""
-        from .sharding import stable_hash
+        from .hashing import stable_hash
 
         best = min(
             self.violations,

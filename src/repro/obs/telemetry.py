@@ -167,8 +167,13 @@ class Telemetry:
 
         ``orbit_hits`` counts the canonicalizations won by a
         non-identity group element (states that merged into another
-        representative's orbit); ``canon_s`` is the wall-clock span
-        spent in orbit minimization.  These are *not* part of the
+        representative's orbit); ``fallbacks`` counts the key
+        comparisons that raised ``TypeError`` natively and were
+        decided through :func:`~repro.engine.reduction.order_key` (0 on
+        every protocol of the zoo; a rising count means the keys grew
+        an unorderable shape and minimization lost its fast path);
+        ``canon_s`` is the wall-clock span spent in orbit
+        minimization.  These are *not* part of the
         deterministic gauge contract: which representative of an orbit
         is reached first — and therefore how many canonicalizations
         are hits — depends on search order.
@@ -179,6 +184,7 @@ class Telemetry:
         reg.gauge("reduction.level_group", reduction.group_size)
         reg.gauge("reduction.states", reduction.counters.states)
         reg.gauge("reduction.orbit_hits", reduction.counters.orbit_hits)
+        reg.gauge("reduction.fallbacks", reduction.counters.fallbacks)
         reg.gauge("reduction.canon_s", round(reduction.counters.canon_s, 6))
 
     def record_por(self, selector) -> None:

@@ -36,7 +36,7 @@ from repro.difftest import (
     fingerprint,
 )
 from repro.engine.component import ComposedSystem
-from repro.engine.sharding import stable_hash
+from repro.engine.hashing import stable_hash
 from repro.harness import Budget, CheckpointError, run_verification
 from repro.litmus import check_trace_causal, check_trace_store_orders
 from repro.memory import (

@@ -31,7 +31,7 @@ import pytest
 from repro.core.operations import InternalAction, Operation
 from repro.engine import SearchEngine
 from repro.engine.component import ComposedSystem, Step, System
-from repro.engine.sharding import stable_hash
+from repro.engine.hashing import stable_hash
 from repro.harness import Budget, CheckpointError, run_verification
 from repro.memory import (
     BuggyMSIProtocol,
