@@ -44,10 +44,8 @@ differential harness enforces bit-identical
 :class:`~repro.difftest.SearchFingerprint` across ``mem`` × ``disk``.
 
 The facade additionally exposes batched entry points
-(:meth:`StateStore.lookup_many` / :meth:`StateStore.intern_many`) so
-the engine hot loop can intern a whole successor batch in array form —
-the seam where a compiled kernel can later slot in without touching
-callers.
+(:meth:`StateStore.lookup_many` / :meth:`StateStore.intern_many`): the
+engine probes a whole successor batch once and interns it in one call.
 
 A paused search leaves the store as plain columns
 (:meth:`StateStore.columns`) and a checkpoint resume re-interns them in
@@ -182,7 +180,7 @@ class StoreBackend(Protocol):
     def intern_many(
         self,
         keys: Sequence[Hashable],
-        hits: Optional[Sequence[Optional[int]]] = None,
+        hits: Sequence[Optional[int]],
     ) -> List[Tuple[int, bool]]: ...
 
     def lookup(self, key: Hashable) -> Optional[int]: ...
@@ -236,24 +234,21 @@ class MemBackend:
         self._keys.append(key)
         return sid, True
 
-    def intern_many(self, keys, hits=None):
+    def intern_many(self, keys, hits):
         ids = self._ids
         keyl = self._keys
         out: List[Tuple[int, bool]] = []
-        if hits is None:
-            hits = [ids.get(k) for k in keys]
         for key, hit in zip(keys, hits):
             if hit is not None:
                 out.append((hit, False))
                 continue
-            sid = ids.get(key)  # duplicate within this batch?
-            if sid is not None:
-                out.append((sid, False))
-                continue
-            sid = len(keyl)
-            ids[key] = sid
-            keyl.append(key)
-            out.append((sid, True))
+            # one probe: a duplicate within this batch keeps its ID
+            n = len(keyl)
+            sid = ids.setdefault(key, n)
+            new = sid == n
+            if new:
+                keyl.append(key)
+            out.append((sid, new))
         return out
 
     def lookup(self, key: Hashable) -> Optional[int]:
@@ -658,12 +653,8 @@ class DiskBackend:
         self._admit(key, sid)
         return sid, True
 
-    def intern_many(self, keys, hits=None):
+    def intern_many(self, keys, hits):
         out: List[Tuple[int, bool]] = []
-        if hits is None:
-            for key in keys:
-                out.append(self.intern(key))
-            return out
         for key, hit in zip(keys, hits):
             if hit is not None:
                 out.append((hit, False))
@@ -774,13 +765,12 @@ class StateStore:
             self._depth.append(0)
         return sid, new
 
-    def intern_many(self, keys, hits=None) -> List[Tuple[int, bool]]:
+    def intern_many(self, keys, hits) -> List[Tuple[int, bool]]:
         """Batched :meth:`intern`: one ``(id, is_new)`` per key, in
         order, with duplicates within the batch resolved exactly as
-        sequential calls would.  ``hits`` may carry the result of a
-        prior :meth:`lookup_many` over the same keys (``None`` per
-        miss) to avoid re-probing — valid only if nothing was interned
-        in between."""
+        sequential calls would.  ``hits`` is the result of a
+        :meth:`lookup_many` over the same keys (``None`` per miss) with
+        nothing interned in between, so a hit is never re-probed."""
         pairs = self._backend.intern_many(keys, hits)
         parent, action, depth = self._parent, self._action, self._depth
         for _sid, new in pairs:
@@ -879,7 +869,8 @@ class StateStore:
                 if not chunk or chunk[0] != backend.key_of(0):
                     raise ValueError("the rebuilt initial state has a different key")
                 chunk, n = chunk[1:], 1
-            for sid, (got, new) in enumerate(backend.intern_many(chunk), n):
+            for sid, key in enumerate(chunk, n):
+                got, new = backend.intern(key)
                 if not new or got != sid:
                     raise ValueError(f"state {sid} is interned twice")
             n += len(chunk)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from . import por as _por
-from .component import System
+from .component import Step, System
 from .intern import NO_PARENT, StateStore
 from ..obs.stats import ExplorationStats
 
@@ -183,6 +183,11 @@ class SearchEngine:
     search's historical contract — a small overshoot, but every
     admitted state is fully checked).
 
+    ``check_quiescence_reachability`` runs the closure that proves
+    every explored state can reach a quiescent one; the successor map
+    is kept exactly when it is on, since the closure is its only
+    reader.
+
     ``stop_on_violation=False`` switches to the exhaustive discipline
     the differential oracle compares engines in: violating states are
     recorded (and, like always, never expanded) but the search runs to
@@ -203,27 +208,27 @@ class SearchEngine:
         max_depth: Optional[int] = None,
         strict_cap: bool = False,
         stop_on_violation: bool = True,
-        track_successors: bool = True,
         check_quiescence_reachability: bool = True,
         on_state: Optional[Callable[[object, int], None]] = None,
-        stats: Optional[ExplorationStats] = None,
         store=None,
     ):
         self.system = system
         self.max_states = max_states
         self.max_depth = max_depth
-        self.check_quiescence_reachability = check_quiescence_reachability
         self._strict_cap = strict_cap
         self._stop_on_violation = stop_on_violation
         self._on_state = on_state
-        self.stats = stats if stats is not None else ExplorationStats()
+        self.stats = ExplorationStats()
         # ``store`` is run policy (a backend name or
         # :class:`~repro.engine.intern.StoreConfig`), never search
         # provenance: which backend interns the keys cannot change a
         # single ID, count or verdict
         self.store = StateStore(store)
         self.frontier = make_frontier(strategy, seed)
-        self._succs: Optional[Dict[int, List[int]]] = {} if track_successors else None
+        # the quiescence closure is the successor map's only reader
+        self._succs: Optional[Dict[int, List[int]]] = (
+            {} if check_quiescence_reachability else None
+        )
         self._quiescent: Set[int] = set()
         #: interned IDs of every violating state found so far
         self.violations: List[int] = []
@@ -231,26 +236,9 @@ class SearchEngine:
         self._cap_truncated = False
         self._final: Optional[SearchOutcome] = None
 
+        # the root is admitted like any successor, but uncapped
         init = system.initial()
-        sid, _ = self.store.intern(system.key(init))
-        self.stats.states = 1
-        self.stats.interned_states = len(self.store)
-        if self.stats.peak_frontier < 1:
-            self.stats.peak_frontier = 1
-        if on_state is not None:
-            on_state(init, 0)
-        end = system.end_check(init)
-        bad = False
-        if end is not None:
-            self.stats.quiescent_states += 1
-            self._quiescent.add(sid)
-            bad = not end
-        if bad:
-            self.violations.append(sid)
-            if stop_on_violation:
-                self._final = self._violation_outcome()
-        else:
-            self.frontier.push((init, sid, 0))
+        self._admit([Step(None, init, system.key(init), True)], NO_PARENT, 0, False)
 
     # ------------------------------------------------------------------
     @property
@@ -311,8 +299,12 @@ class SearchEngine:
         dropped once their last needed child exists.  Raises
         :class:`ValueError` when the rebuilt initial state or any
         rebuilt frontier state has a different key than the one
-        stored — the record does not describe this system.
+        stored — the record does not describe this system — and when
+        this engine checks quiescence reachability but the record has
+        no successor map to close over.
         """
+        if self._succs is not None and snap["successors"] is None:
+            raise ValueError("the record has no successor map for the quiescence closure")
         store, system = self.store, self.system
         store.load_columns(snap["store"])
         ids = list(snap["frontier"])
@@ -356,6 +348,70 @@ class SearchEngine:
         for name, value in snap["stats"].items():
             setattr(self.stats, name, value)
 
+    def _admit(self, steps: List[Step], parent: int, depth: int, capped: bool) -> bool:
+        """Admit one successor batch of ``parent`` (``NO_PARENT`` for
+        the root, whose batch is the initial state alone and is no
+        transition) at ``depth``: one ``lookup_many`` probe and one
+        ``intern_many`` over the whole batch, then count, end-check,
+        record violations, apply the state cap (when ``capped``) and
+        push each new state exactly once.  Returns ``True`` when the
+        search reached its final outcome mid-batch: a strict cap stops
+        *before* end-checking the capping state, a stop-on-violation
+        halt comes right after the violating step.  Keys interned past
+        a halt are never read."""
+        stats, store, system, frontier = self.stats, self.store, self.system, self.frontier
+        max_states = self.max_states if capped else None
+        strict_cap = self._strict_cap
+        on_state = self._on_state
+        edges = parent != NO_PARENT
+        kids = self._succs.setdefault(parent, []) if edges and self._succs is not None else None
+        keys = [step.key for step in steps]
+        pairs = store.intern_many(keys, store.lookup_many(keys))
+        for step, (cid, new) in zip(steps, pairs):
+            if edges:
+                stats.transitions += 1
+                system.record(stats, step.state)
+            if kids is not None:
+                kids.append(cid)
+            if not new:
+                # a revisit: identical state, so its checks (eager
+                # and end alike) happened on first encounter
+                continue
+            if strict_cap and max_states is not None and stats.states >= max_states:
+                stats.truncated = True
+                self._cap_truncated = True
+                self._final = SearchOutcome("done", None, stats)
+                return True
+            store.set_parent(cid, parent, step.action)
+            stats.states += 1
+            stats.interned_states += 1
+            if on_state is not None:
+                on_state(step.state, depth)
+            bad = not step.ok
+            if not bad:
+                end = system.end_check(step.state)
+                if end is not None:
+                    stats.quiescent_states += 1
+                    self._quiescent.add(cid)
+                    bad = not end
+            if bad:
+                # violating states are recorded and never expanded;
+                # in exhaustive mode the search carries on so the
+                # explored set stays strategy independent
+                self.violations.append(cid)
+                if self._stop_on_violation:
+                    self._final = self._violation_outcome()
+                    return True
+                continue
+            if not strict_cap and max_states is not None and stats.states >= max_states:
+                stats.truncated = True
+                self._cap_truncated = True
+                continue
+            frontier.push((step.state, cid, depth))
+            if len(frontier) > stats.peak_frontier:
+                stats.peak_frontier = len(frontier)
+        return False
+
     def run(
         self, should_stop: Optional[StopHook] = None, telemetry=None
     ) -> SearchOutcome:
@@ -385,9 +441,6 @@ class SearchEngine:
         stats.truncated = self._cap_truncated
         max_states, max_depth = self.max_states, self.max_depth
         system, store, frontier = self.system, self.store, self.frontier
-        succs = self._succs
-        strict_cap = self._strict_cap
-        on_state = self._on_state
         por_on = getattr(system, "por", "off") != "off"
         por_counters = getattr(getattr(system, "por_selector", None), "counters", None)
 
@@ -425,7 +478,6 @@ class SearchEngine:
                 continue
             if reg is not None:
                 _t_exp = _pc()
-            kids = succs.setdefault(sid, []) if succs is not None else None
             if por_on:
                 # ample-set expansion: only the deferred-free subset is
                 # taken when the selector finds one AND the depth
@@ -454,89 +506,9 @@ class SearchEngine:
                     por_counters.fallbacks += 1
             else:
                 expand = system.steps(state)
-            # Batched admission over the whole successor set: one
-            # lookup_many probe, then intern_many over exactly the
-            # prefix the old per-step loop would have reached — the
-            # array seam a compiled kernel can later slot into.  The
-            # prefix is found by a dry pre-pass that replays the
-            # sequential admission discipline (strict-cap stops
-            # *before* end-checking the capping state; a
-            # stop-on-violation halt is decided *after* it), caching
-            # end-checks so every admitted state is still checked
-            # exactly once.
             steps = expand if isinstance(expand, list) else list(expand)
-            keys = [step.key for step in steps]
-            hits = store.lookup_many(keys)
-            limit = len(steps)
-            prechecked = strict_cap or self._stop_on_violation
-            ends: Optional[List[Optional[bool]]] = None
-            if prechecked:
-                ends = [None] * len(steps)
-                states_sim = stats.states
-                pending: Set[object] = set()
-                for i, step in enumerate(steps):
-                    if hits[i] is not None or step.key in pending:
-                        continue
-                    if strict_cap and max_states is not None and states_sim >= max_states:
-                        limit = i + 1
-                        break
-                    pending.add(step.key)
-                    states_sim += 1
-                    bad = not step.ok
-                    if not bad:
-                        ends[i] = system.end_check(step.state)
-                        bad = ends[i] is not None and not ends[i]
-                    if bad and self._stop_on_violation:
-                        limit = i + 1
-                        break
-            pre_len = len(store)
-            pairs = store.intern_many(keys[:limit] if limit < len(steps) else keys, hits)
-            news = 0
-            for i in range(limit):
-                step = steps[i]
-                stats.transitions += 1
-                system.record(stats, step.state)
-                cid, new = pairs[i]
-                if kids is not None:
-                    kids.append(cid)
-                if not new:
-                    # a revisit: identical state, so its checks (eager
-                    # and end alike) happened on first encounter
-                    continue
-                news += 1
-                if strict_cap and max_states is not None and stats.states >= max_states:
-                    stats.truncated = True
-                    self._cap_truncated = True
-                    self._final = SearchOutcome("done", None, stats)
-                    return self._final
-                store.set_parent(cid, sid, step.action)
-                stats.states += 1
-                stats.interned_states = pre_len + news
-                if on_state is not None:
-                    on_state(step.state, depth + 1)
-                bad = not step.ok
-                if not bad:
-                    end = ends[i] if prechecked else system.end_check(step.state)
-                    if end is not None:
-                        stats.quiescent_states += 1
-                        self._quiescent.add(cid)
-                        bad = not end
-                if bad:
-                    # violating states are recorded and never expanded;
-                    # in exhaustive mode the search carries on so the
-                    # explored set stays strategy independent
-                    self.violations.append(cid)
-                    if self._stop_on_violation:
-                        self._final = self._violation_outcome()
-                        return self._final
-                    continue
-                if not strict_cap and max_states is not None and stats.states >= max_states:
-                    stats.truncated = True
-                    self._cap_truncated = True
-                    continue
-                frontier.push((step.state, cid, depth + 1))
-                if len(frontier) > stats.peak_frontier:
-                    stats.peak_frontier = len(frontier)
+            if self._admit(steps, sid, depth + 1, True):
+                return self._final
             if reg is not None:
                 reg.observe_s(_expand_path, _pc() - _t_exp)
                 if red_counters is not None:
@@ -560,11 +532,11 @@ class SearchEngine:
         # reach a quiescent one, otherwise some prefixes were never
         # end-checked and the verdict would be unsound
         non_quiescible = 0
-        if self.check_quiescence_reachability and succs is not None and not stats.truncated:
+        if self._succs is not None and not stats.truncated:
             reach: Set[int] = set(self._quiescent)
             # backward closure over explored edges
             preds: Dict[int, List[int]] = {}
-            for u, vs in succs.items():
+            for u, vs in self._succs.items():
                 for v in vs:
                     preds.setdefault(v, []).append(u)
             todo = list(reach)

@@ -119,7 +119,6 @@ def _search(
     engine = SearchEngine(
         system,
         strategy="dfs",
-        track_successors=False,
         check_quiescence_reachability=False,
         on_state=on_state,
     )

@@ -45,7 +45,6 @@ def explore(
         max_states=max_states,
         max_depth=max_depth,
         strict_cap=True,
-        track_successors=False,
         check_quiescence_reachability=False,
         on_state=on_state,
     )

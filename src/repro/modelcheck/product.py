@@ -202,7 +202,6 @@ class ProductSearch:
             max_depth=max_depth,
             strict_cap=False,
             stop_on_violation=stop_on_violation,
-            track_successors=True,
             check_quiescence_reachability=check_quiescence_reachability,
             store=self.store_config,
         )

@@ -28,8 +28,9 @@ class ExplorationStats:
     #: whole search — a budget-stopped run that resumes keeps maxing
     #: against the earlier legs' peak, never restarts from zero
     peak_frontier: int = 0
-    #: states interned in the engine's StateStore; like
-    #: ``peak_frontier`` it survives checkpoint/resume because the
+    #: states admitted to the engine's StateStore (interned, given a
+    #: parent and checked); keys interned past a halt are not counted.
+    #: Like ``peak_frontier`` it survives checkpoint/resume because the
     #: checkpoint records every counter
     interned_states: int = 0
     #: why a cooperative ``should_stop`` hook halted the search (None

@@ -146,7 +146,6 @@ def test_protocol_system_matches_legacy_explorer():
     proto = MSIProtocol(p=2, b=1, v=2)
     engine = SearchEngine(
         ProtocolSystem(proto),
-        track_successors=False,
         check_quiescence_reachability=False,
     )
     out = engine.run()
@@ -164,7 +163,6 @@ def test_all_strategies_exhaust_the_same_state_space():
             ProtocolSystem(MSIProtocol(p=2, b=1, v=1)),
             strategy=strategy,
             seed=11,
-            track_successors=False,
             check_quiescence_reachability=False,
         )
         engine.run()
@@ -178,7 +176,6 @@ def _product_engine():
     # is not.
     return SearchEngine(
         ComposedSystem(MSIProtocol(p=2, b=1, v=1), mode="fast"),
-        track_successors=False,
         check_quiescence_reachability=False,
     )
 
@@ -188,7 +185,6 @@ def test_strict_cap_never_exceeds_max_states():
         ComposedSystem(MSIProtocol(p=2, b=1, v=1), mode="fast"),
         max_states=50,
         strict_cap=True,
-        track_successors=False,
         check_quiescence_reachability=False,
     )
     out = engine.run()

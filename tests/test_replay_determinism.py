@@ -25,6 +25,7 @@ was written with.
 """
 
 import random
+from collections import deque
 
 import pytest
 
@@ -194,7 +195,6 @@ def _exhaustive_engine(system):
     return SearchEngine(
         system,
         stop_on_violation=False,
-        track_successors=True,
         check_quiescence_reachability=False,
     )
 
@@ -239,6 +239,112 @@ def test_paths_replay_to_each_violation(seed):
             node = dst
         assert ("dag", node) == engine.store.key_of(sid)
         assert node in system.bad
+
+
+# --------------------------------- one admission pass, halting mid-batch
+
+
+class QuiescentDagSystem(SeededDagSystem):
+    """A :class:`SeededDagSystem` whose sinks are quiescent end states
+    that pass their end check."""
+
+    def end_check(self, node):
+        return None if self.succs[node] else True
+
+
+def _per_step_reference(system, max_states=None):
+    """The admission discipline written one step at a time: BFS, every
+    key looked up and interned on its own, a state cap that stops
+    *before* admitting the capping state, and a halt right after the
+    first violating step.  Returns the engine counters, the violating
+    keys and ``(index, batch size)`` of the halting step (``None`` if
+    the search drained)."""
+    init = system.initial()
+    seen = {system.key(init)}
+    counts = {"states": 1, "transitions": 0, "quiescent_states": 0}
+    violations = []
+    if system.end_check(init) is not None:
+        counts["quiescent_states"] += 1
+    queue = deque([init])
+    while queue:
+        steps = list(system.steps(queue.popleft()))
+        for i, step in enumerate(steps):
+            counts["transitions"] += 1
+            if step.key in seen:
+                continue
+            if max_states is not None and counts["states"] >= max_states:
+                return counts, violations, (i, len(steps))
+            seen.add(step.key)
+            counts["states"] += 1
+            bad = not step.ok
+            if not bad:
+                end = system.end_check(step.state)
+                if end is not None:
+                    counts["quiescent_states"] += 1
+                    bad = not end
+            if bad:
+                violations.append(step.key)
+                return counts, violations, (i, len(steps))
+            queue.append(step.state)
+    return counts, violations, None
+
+
+@pytest.mark.parametrize("max_states", [None, 15], ids=["stop-on-first", "strict-cap"])
+def test_mid_batch_halt_matches_per_step_admission(max_states):
+    system = QuiescentDagSystem(seed=21)
+    counts, violations, halt = _per_step_reference(system, max_states)
+    # the scenario the batched admission must get right: the halting
+    # successor has batch mates after it, and the counts before it
+    # include revisits and end-checked states
+    index, size = halt
+    assert index < size - 1
+    assert counts["quiescent_states"] > 0
+    assert counts["transitions"] > counts["states"] - 1
+
+    engine = SearchEngine(system, max_states=max_states, strict_cap=max_states is not None)
+    out = engine.run()
+    assert out.status == ("done" if max_states else "violation")
+    assert {name: getattr(engine.stats, name) for name in counts} == counts
+    assert [engine.store.key_of(sid) for sid in engine.violations] == violations
+    assert engine.stats.interned_states == counts["states"]
+
+
+@pytest.mark.parametrize("strict_cap", [False, True])
+def test_root_is_admitted_uncapped(strict_cap):
+    system = QuiescentDagSystem(seed=21)
+    engine = SearchEngine(system, max_states=1, strict_cap=strict_cap)
+    assert engine.stats.states == 1 and len(engine.frontier) == 1
+    engine.run()
+    assert engine.stats.truncated
+    if strict_cap:
+        # the first new successor of the root hits the cap
+        counts, _violations, _halt = _per_step_reference(system, max_states=1)
+        assert {name: getattr(engine.stats, name) for name in counts} == counts
+    else:
+        # the root is expanded in full; its children are checked, never pushed
+        assert engine.stats.transitions == len(system.succs[0])
+        assert engine.stats.states == 1 + len(set(system.succs[0]))
+        assert engine.stats.peak_frontier == 1
+
+
+def _paused(**kw):
+    search = ProductSearch(MSIProtocol(p=2, b=1, v=1), mode="fast", **kw)
+    search.run(lambda stats: "paused" if stats.states >= 50 else None)
+    return search
+
+
+def test_successor_map_is_kept_only_for_the_quiescence_closure():
+    # a preemption bound turns the quiescence closure off, and with it
+    # the successor map it alone reads
+    assert _paused(preemptions=2).engine.snapshot()["successors"] is None
+    assert _paused().engine.snapshot()["successors"]
+
+
+def test_restore_refuses_a_record_without_the_successor_map():
+    snap = _paused().engine.snapshot()
+    fresh = ProductSearch(MSIProtocol(p=2, b=1, v=1), mode="fast")
+    with pytest.raises(ValueError, match="successor map"):
+        fresh.engine.restore(dict(snap, successors=None))
 
 
 # ------------------------------------- symmetry reduction (property fuzz)
