@@ -8,18 +8,13 @@ search (``docs/MODELS.md``).  This script
 * asserts that contract through :func:`repro.difftest.
   assert_preemption_refinement` on exhaustive fingerprints, and
 * re-runs both searches traced, writing one ``--trace-log``-style
-  JSONL per run so CI can append them to ``BENCH_verification.json``
-  via ``repro metrics --record``:
+  JSONL per run for ``repro metrics`` to summarise:
 
 .. code-block:: console
 
    $ PYTHONPATH=src python benchmarks/record_models.py
-   $ PYTHONPATH=src python -m repro metrics trace-sc-full.jsonl \
-         --record BENCH_verification.json \
-         --workload buggy-msi_p2b1v1_exhaustive
-   $ PYTHONPATH=src python -m repro metrics trace-sc-preempt2.jsonl \
-         --record BENCH_verification.json \
-         --workload buggy-msi_p2b1v1_preempt2_exhaustive
+   $ PYTHONPATH=src python -m repro metrics trace-sc-full.jsonl
+   $ PYTHONPATH=src python -m repro metrics trace-sc-preempt2.jsonl
 
 The traced runs are exhaustive (``stop_on_violation=False``) — the
 CLI's stop-on-first default would make the state counts incomparable,

@@ -10,16 +10,14 @@ Commands
 ``bounds``   Section 4.4 size-bound table for given parameters
 ``reproduce`` condensed re-run of every experiment, as markdown
 ``report``   a self-contained run report / trend document (markdown or
-             HTML) from a trace, --ledger and/or --bench
-``runs``     list, filter, show and gc the run ledger (--ledger)
+             HTML) from a trace and/or --bench
 ``descriptor`` check a descriptor string (paper syntax) for acyclic
              constraint-graph-ness
 ``check-run`` judge a recorded protocol run from a log file (§5)
 ``fault-matrix`` verify every (protocol × injected fault) pair and
              check the checker catches what it must (docs/ROBUSTNESS.md)
-``metrics``  summarise a run's trace/metrics snapshot, diff two, append
-             a normalized benchmark entry, or gate on a states/sec
-             regression (docs/OBSERVABILITY.md)
+``metrics``  summarise a run's trace/metrics snapshot, diff two, or gate
+             on a states/sec regression (docs/OBSERVABILITY.md)
 
 Protocols are addressed by name (see :data:`repro.memory.PROTOCOLS`);
 each entry knows its default ST-order generator, so ``python -m repro
@@ -50,7 +48,6 @@ from .litmus import (
 from .memory import NON_SC_PROTOCOLS, PROTOCOLS, build_protocol
 from .models import MODELS
 from .obs.flight import DEFAULT_FLIGHT_CAPACITY
-from .obs.ledger import DEFAULT_LEDGER_PATH
 from .util import format_table
 
 __all__ = ["main"]
@@ -120,14 +117,7 @@ def _telemetry_from_args(args):
     trace_log = getattr(args, "trace_log", None)
     progress = getattr(args, "progress", None)
     flight_n = getattr(args, "flight", None)
-    ledger = getattr(args, "ledger", None)
-    if (
-        not profile
-        and trace_log is None
-        and progress is None
-        and flight_n is None
-        and ledger is None
-    ):
+    if not profile and trace_log is None and progress is None and flight_n is None:
         return None
     from .obs import (
         FlightRecorder,
@@ -137,13 +127,7 @@ def _telemetry_from_args(args):
         TraceWriter,
     )
 
-    # --ledger rides along so the recorded entry carries a full metrics
-    # snapshot (span tree included), not just the deterministic gauges
-    registry = (
-        MetricsRegistry()
-        if (profile or trace_log is not None or ledger is not None)
-        else None
-    )
+    registry = MetricsRegistry() if (profile or trace_log is not None) else None
     trace = TraceWriter.open(trace_log) if trace_log is not None else None
     reporter = ProgressReporter(interval=progress) if progress is not None else None
     flight = None
@@ -238,7 +222,6 @@ def _cmd_verify(args, telemetry=None) -> int:
                 budget=budget,
                 checkpoint_path=args.checkpoint or args.resume,
                 resume_from=args.resume,
-                ledger=args.ledger,
                 reduce=args.reduce,
                 model=args.model,
                 preemptions=args.preemptions,
@@ -274,7 +257,6 @@ def _cmd_verify(args, telemetry=None) -> int:
                     por=args.por,
                     store=store,
                     telemetry=telemetry,
-                    ledger=args.ledger,
                 )
     except (CheckpointError, PorError, ReductionError, ModelError,
             StoreError) as exc:
@@ -283,15 +265,6 @@ def _cmd_verify(args, telemetry=None) -> int:
     dt = time.perf_counter() - t0
     print(res.summary())
     print(f"elapsed: {dt:.2f}s")
-    if getattr(res, "ledger_hash", None) is not None:
-        dedup = (
-            f"hit — {res.ledger_prior} prior identical run(s)"
-            if res.ledger_prior
-            else "new search"
-        )
-        print(f"ledger: {res.ledger_hash[:12]} ({dedup}) -> {args.ledger}")
-    elif args.ledger is not None:
-        print("ledger: not recorded (run was stopped or truncated)")
     if res.stats is not None and res.stats.stop_reason is not None:
         where = args.checkpoint or args.resume
         if where:
@@ -312,12 +285,12 @@ def _degrade_refusal(args, budget):
             "--model/--preemptions"
         )
     # the ladder runs fresh, uncapped breadth-first searches (a
-    # depth-bounded DFS rung would not be complete) and keeps no record
+    # depth-bounded DFS rung would not be complete) and writes no
+    # checkpoint
     dropped = [
         flag for flag, given in (
             ("--resume", args.resume is not None),
             ("--checkpoint", args.checkpoint is not None),
-            ("--ledger", args.ledger is not None),
             ("--max-states", args.max_states is not None),
             ("--max-depth", args.max_depth is not None),
             ("--strategy", args.strategy != "bfs"),
@@ -327,7 +300,7 @@ def _degrade_refusal(args, budget):
     if dropped:
         return (
             "--degrade runs its own budgeted breadth-first ladder and "
-            f"writes no checkpoint or ledger entry; drop {', '.join(dropped)}"
+            f"writes no checkpoint; drop {', '.join(dropped)}"
         )
     return None
 
@@ -480,25 +453,22 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.trace is None and args.ledger is None and args.bench is None:
+    if args.trace is None and args.bench is None:
         args.parser.print_usage()
-        print("error: nothing to render: give a trace, --ledger or --bench "
+        print("error: nothing to render: give a trace or --bench "
               "(the reproduction sweep is 'repro reproduce')")
         return 2
 
     from .obs import TraceError
-    from .obs.ledger import LedgerError, RunLedger
     from .obs.report import render_report
 
     try:
-        entries = RunLedger(args.ledger).entries() if args.ledger is not None else None
         text = render_report(
             trace_path=args.trace,
-            ledger_entries=entries,
             bench_path=args.bench,
             fmt=args.format,
         )
-    except (TraceError, LedgerError, ValueError) as exc:
+    except (TraceError, ValueError) as exc:
         print(f"error: {exc}")
         return 2
     except OSError as exc:
@@ -510,79 +480,6 @@ def cmd_report(args) -> int:
         print(f"report written: {args.output}")
     else:
         print(text, end="")
-    return 0
-
-
-def cmd_runs(args) -> int:
-    import json as _json
-
-    from .obs.ledger import LedgerError, RunLedger, group_by_hash
-
-    ledger = RunLedger(args.ledger)
-    try:
-        if args.gc:
-            dropped = ledger.gc(keep=args.keep)
-            kept = len(ledger.entries())
-            print(
-                f"gc: dropped {dropped} entr{'y' if dropped == 1 else 'ies'}, "
-                f"kept {kept} (newest {args.keep} per search hash)"
-            )
-            return 0
-        entries = ledger.entries()
-    except (LedgerError, ValueError) as exc:
-        print(f"error: {exc}")
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}")
-        return 2
-
-    if args.show is not None:
-        matches = [e for e in entries if e.hash.startswith(args.show)]
-        if not matches:
-            print(f"error: no ledger entry matches hash prefix {args.show!r}")
-            return 2
-        for e in matches:
-            print(_json.dumps(e.as_dict(), indent=2, sort_keys=True, default=str))
-        return 0
-
-    if args.protocol is not None:
-        entries = [
-            e for e in entries
-            if args.protocol in str(e.provenance.get("protocol", ""))
-        ]
-    if args.verdict is not None:
-        entries = [e for e in entries if args.verdict.lower() in e.verdict.lower()]
-    if args.hash_prefix is not None:
-        entries = [e for e in entries if e.hash.startswith(args.hash_prefix)]
-
-    if not entries:
-        print(f"no matching runs in {args.ledger}")
-        return 0
-    rows = [
-        (
-            e.short_hash,
-            time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(e.recorded_at)),
-            str(e.provenance.get("protocol", "?")),
-            e.verdict,
-            e.states,
-            f"{e.elapsed_s:.3g}s",
-            e.trace or "-",
-        )
-        for e in entries
-    ]
-    print(
-        format_table(
-            ["hash", "recorded", "protocol", "verdict", "states", "elapsed", "trace"],
-            rows,
-            title=f"Run ledger: {args.ledger}",
-        )
-    )
-    groups = group_by_hash(entries)
-    dupes = sum(len(g) - 1 for g in groups.values())
-    print(
-        f"{len(entries)} run(s), {len(groups)} distinct search(es)"
-        + (f", {dupes} duplicate run(s) — 'repro runs --gc' prunes them" if dupes else "")
-    )
     return 0
 
 
@@ -618,8 +515,6 @@ def cmd_fault_matrix(args) -> int:
             telemetry=telemetry,
         )
     finally:
-        if budget is not None:
-            budget.stop()
         if telemetry is not None:
             telemetry.close()
     print(report.summary())
@@ -628,12 +523,7 @@ def cmd_fault_matrix(args) -> int:
 
 def cmd_metrics(args) -> int:
     from .obs import TraceError
-    from .obs.bench import (
-        append_run_entry,
-        check_states_per_sec,
-        load_summary,
-        normalized_entry,
-    )
+    from .obs.bench import check_states_per_sec, load_summary
 
     def _load(path):
         try:
@@ -677,36 +567,23 @@ def cmd_metrics(args) -> int:
 
     print(summary.format())
 
-    code = 0
-    if args.record is not None:
-        workload = args.workload or summary.protocol or "(unknown)"
-        entry = normalized_entry(
-            workload,
-            summary.elapsed_s,
-            summary.states,
-            reduce=summary.reduce or "off",
-            por=summary.por or "off",
+    if args.check_bench is None:
+        return 0
+    if args.workload is None:
+        print("error: --check-bench needs --workload NAME")
+        return 2
+    try:
+        ok, message = check_states_per_sec(
+            args.check_bench,
+            args.workload,
+            summary,
+            max_regression=args.max_regression,
         )
-        append_run_entry(args.record, entry)
-        print(f"\nrecorded run entry for {workload!r} in {args.record}")
-    if args.check_bench is not None:
-        if args.workload is None:
-            print("error: --check-bench needs --workload NAME")
-            return 2
-        try:
-            ok, message = check_states_per_sec(
-                args.check_bench,
-                args.workload,
-                summary,
-                max_regression=args.max_regression,
-            )
-        except TraceError as exc:
-            print(f"error: {exc}")
-            return 2
-        print(f"\nbench check: {message}")
-        if not ok:
-            code = 1
-    return code
+    except TraceError as exc:
+        print(f"error: {exc}")
+        return 2
+    print(f"\nbench check: {message}")
+    return 0 if ok else 1
 
 
 def _fmt_metric(v: float) -> str:
@@ -759,8 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
             "     --store-dir without --store disk, a checkpoint that does\n"
             "     not rebuild (a rebuilt state key differs from the stored one),\n"
             "     or --degrade with a flag its ladder cannot honour (--resume,\n"
-            "     --checkpoint, --ledger, --max-states, --max-depth, --strategy\n"
-            "     other than bfs, --model other than sc, --preemptions)\n"
+            "     --checkpoint, --max-states, --max-depth, --strategy other\n"
+            "     than bfs, --model other than sc, --preemptions)\n"
             "\n"
             "resume semantics: --reduce, --model, --preemptions and --por are\n"
             "search state (baked into the checkpoint's interned keys, run set\n"
@@ -788,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--budget-states", type=int, default=None, metavar="N",
                    help="stop after exploring N joint states (resumable, unlike --max-states)")
     v.add_argument("--budget-mb", type=float, default=None, metavar="MB",
-                   help="approximate memory budget (tracemalloc-sampled)")
+                   help="memory budget: stop once the whole process's peak "
+                        "RSS (interpreter included) reaches MB")
     v.add_argument("--checkpoint", metavar="FILE", default=None,
                    help="write a resumable checkpoint here if the budget stops the search")
     v.add_argument("--resume", metavar="FILE", default=None,
@@ -829,15 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time the pipeline phases through the telemetry span "
                         "system and print the hierarchical span tree "
                         "(total/self per span) afterwards")
-    v.add_argument("--ledger", nargs="?", const=DEFAULT_LEDGER_PATH,
-                   default=None, metavar="PATH",
-                   help="record the completed run in this append-only run "
-                        f"ledger (default {DEFAULT_LEDGER_PATH}), keyed by "
-                        "the content hash of its search provenance (protocol/"
-                        "mode/strategy/reduce/model/preemptions/por — the "
-                        "store backend is run policy, excluded). Stopped "
-                        "or truncated runs are not recorded. Inspect with "
-                        "'repro runs'")
     _add_telemetry_args(v)
     v.set_defaults(func=cmd_verify)
 
@@ -871,16 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser(
         "report",
         help="render a self-contained run report / trend document from a "
-             "trace and/or --ledger/--bench",
+             "trace and/or --bench",
     )
     r.add_argument("trace", nargs="?", default=None,
                    help="trace JSONL (from --trace-log) or flight dump to "
                         "render a run report for: verdict header, span tree, "
                         "reduction/POR effectiveness, recovery events")
-    r.add_argument("--ledger", nargs="?", const=DEFAULT_LEDGER_PATH,
-                   default=None, metavar="PATH",
-                   help="include cross-run trend tables from this run ledger "
-                        "(grouped by search hash)")
     r.add_argument("--bench", metavar="BENCH_JSON", default=None,
                    help="include benchmark trend tables from this "
                         "BENCH_verification.json")
@@ -890,30 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("-o", "--output", metavar="PATH", default=None,
                    help="write the report here instead of stdout")
     r.set_defaults(func=cmd_report, parser=r)
-
-    ru = sub.add_parser(
-        "runs",
-        help="list, filter, show and gc the run ledger written by "
-             "'verify --ledger'",
-    )
-    ru.add_argument("--ledger", metavar="PATH", default=DEFAULT_LEDGER_PATH,
-                    help=f"ledger path (default {DEFAULT_LEDGER_PATH})")
-    ru.add_argument("--protocol", metavar="SUBSTR", default=None,
-                    help="only runs whose protocol description contains this")
-    ru.add_argument("--verdict", metavar="SUBSTR", default=None,
-                    help="only runs whose verdict contains this "
-                         "(case-insensitive)")
-    ru.add_argument("--hash", dest="hash_prefix", metavar="PREFIX",
-                    default=None, help="only runs whose search hash starts "
-                                       "with this prefix")
-    ru.add_argument("--show", metavar="PREFIX", default=None,
-                    help="print the full JSON entries for this hash prefix")
-    ru.add_argument("--gc", action="store_true",
-                    help="rewrite the ledger keeping only the newest --keep "
-                         "entries per search hash")
-    ru.add_argument("--keep", type=int, default=1, metavar="N",
-                    help="entries kept per hash with --gc (default 1)")
-    ru.set_defaults(func=cmd_runs)
 
     cr = sub.add_parser(
         "check-run",
@@ -954,18 +795,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser(
         "metrics",
-        help="summarise a run's trace/metrics, diff two, record or "
+        help="summarise a run's trace/metrics, diff two, or "
              "regression-check states/sec (docs/OBSERVABILITY.md)",
     )
     m.add_argument("file", help="trace JSONL (from --trace-log) or metrics snapshot JSON")
     m.add_argument("file2", nargs="?", default=None,
                    help="second file: print a metric-by-metric diff instead")
-    m.add_argument("--record", metavar="BENCH_JSON", default=None,
-                   help="append this run as a normalized entry under 'runs' in "
-                        "the benchmark file")
     m.add_argument("--workload", metavar="NAME", default=None,
-                   help="workload name for --record / --check-bench "
-                        "(e.g. msi_p2b1v1)")
+                   help="workload name for --check-bench (e.g. msi_p2b1v1)")
     m.add_argument("--check-bench", metavar="BENCH_JSON", default=None,
                    help="compare states/sec against the checked-in baseline for "
                         "--workload; exit 1 on regression beyond tolerance")

@@ -120,8 +120,8 @@ class STOrderGenerator(abc.ABC):
         """The generator's identity as search provenance: two searches
         that differ only in their generator explore different products
         (lazy caching verifies under its write-order generator and is
-        refuted under real-time order), so the run ledger and
-        checkpoints key on this name."""
+        refuted under real-time order), so checkpoints and
+        fingerprints key on this name."""
         return type(self).__name__
 
 

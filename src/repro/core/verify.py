@@ -64,11 +64,6 @@ class VerificationResult:
     #: keeps its historical name; for other models read it as
     #: "consistent under the model")
     model: str = "sc"
-    #: set by the harness when a ``--ledger`` recorded this run: the
-    #: search-provenance content hash, and how many identical runs the
-    #: ledger already held (the dedup signal)
-    ledger_hash: Optional[str] = None
-    ledger_prior: Optional[int] = None
 
     @property
     def verdict(self) -> str:

@@ -84,9 +84,8 @@ from .core.protocol import Protocol
 from .core.storder import STOrderGenerator
 from .core.verify import check_run
 from .engine.hashing import stable_hash
-from .modelcheck.product import ProductSearch
+from .modelcheck.product import ProductSearch, search_provenance
 from .obs import MetricsRegistry, Telemetry, TraceWriter
-from .obs.ledger import search_provenance
 
 #: the ``search.*`` gauges every honest engine configuration must agree
 #: on for a completed search (peak_frontier and max_depth are excluded:
@@ -180,10 +179,10 @@ class SearchFingerprint:
         )
 
     def provenance(self) -> Dict[str, object]:
-        """The search-identity fields the run ledger hashes
-        (:data:`repro.obs.ledger.PROVENANCE_FIELDS`): what was
-        searched, excluding run policy such as ``store`` — so a
-        fingerprint keys straight into :meth:`RunLedger.lookup`."""
+        """The search-identity fields
+        (:data:`repro.modelcheck.product.PROVENANCE_FIELDS`): what was
+        searched, excluding run policy such as ``store`` — the same
+        mapping a checkpoint records."""
         return {
             "protocol": self.protocol,
             "generator": self.generator,

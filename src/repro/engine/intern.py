@@ -110,7 +110,7 @@ class StoreConfig:
     """Which backend to intern state keys in, and its capacity knobs.
 
     Run policy: a :class:`StoreConfig` never
-    appears in search provenance (ledger hash, fingerprint fields) and
+    appears in search provenance (checkpoint record, fingerprint fields) and
     an explicit ``--store`` on resume *overrides* the checkpointed
     backend rather than raising a mismatch error.
 

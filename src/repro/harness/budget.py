@@ -8,24 +8,28 @@ the explorers' ``should_stop`` hook
 per expanded state, so stopping is cooperative and the BFS frontier
 stays intact — which is what makes checkpoint/resume possible.
 
-Memory accounting is approximate by design: when a memory budget is
-set, :meth:`Budget.start` enables :mod:`tracemalloc` (unless the
-caller already did) and samples the traced total every
-``mem_poll_interval`` polls; a custom ``memory_probe`` (returning MB)
-can replace it, e.g. a :func:`sys.getsizeof`-based estimate of the
-frontier for runs where tracing overhead matters.
+The memory axis reads the whole process's peak resident set size
+(:func:`resource.getrusage`, interpreter included) every
+``mem_poll_interval`` polls.  The peak only ever rises, so once it
+crosses the budget the stop is final.  A custom ``memory_probe``
+(returning MB) can replace it, e.g. a :func:`sys.getsizeof`-based
+estimate of the frontier.
 """
 
 from __future__ import annotations
 
+import resource
+import sys
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..obs.stats import ExplorationStats
 
 __all__ = ["Budget"]
+
+#: ``ru_maxrss`` is in KB on Linux and in bytes on macOS
+_MAXRSS_PER_MB = 1024 * 1024 if sys.platform == "darwin" else 1024
 
 
 @dataclass
@@ -45,30 +49,16 @@ class Budget:
     #: polls between (comparatively expensive) memory samples
     mem_poll_interval: int = 256
     #: optional override returning the current footprint in MB
+    #: (default: the process's peak RSS)
     memory_probe: Optional[Callable[[], float]] = None
 
     _t0: Optional[float] = field(default=None, repr=False)
     _polls: int = field(default=0, repr=False)
-    _owns_tracemalloc: bool = field(default=False, repr=False)
 
     def start(self) -> "Budget":
         if self._t0 is None:
             self._t0 = time.perf_counter()
-            if (
-                self.memory_mb is not None
-                and self.memory_probe is None
-                and not tracemalloc.is_tracing()
-            ):
-                tracemalloc.start()
-                self._owns_tracemalloc = True
         return self
-
-    def stop(self) -> None:
-        """Release resources (the tracemalloc hook, if this budget
-        enabled it)."""
-        if self._owns_tracemalloc and tracemalloc.is_tracing():
-            tracemalloc.stop()
-        self._owns_tracemalloc = False
 
     # ------------------------------------------------------------------
     def elapsed_s(self) -> float:
@@ -96,12 +86,10 @@ class Budget:
             fracs.append(min(1.0, states / self.states))
         return max(fracs) if fracs else None
 
-    def current_memory_mb(self) -> Optional[float]:
+    def current_memory_mb(self) -> float:
         if self.memory_probe is not None:
             return self.memory_probe()
-        if tracemalloc.is_tracing():
-            return tracemalloc.get_traced_memory()[0] / (1024 * 1024)
-        return None
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_MB
 
     # ------------------------------------------------------------------
     def should_stop(self, stats: ExplorationStats) -> Optional[str]:
@@ -116,7 +104,7 @@ class Budget:
         self._polls += 1
         if self.memory_mb is not None and self._polls % self.mem_poll_interval == 0:
             mb = self.current_memory_mb()
-            if mb is not None and mb >= self.memory_mb:
+            if mb >= self.memory_mb:
                 return f"memory budget exhausted ({mb:.1f} MB >= {self.memory_mb:g} MB)"
         return None
 

@@ -4,8 +4,8 @@ A :class:`Checkpoint` records a paused
 :class:`~repro.modelcheck.product.ProductSearch` as a versioned data
 record, never a live object graph: every joint state of the product is
 fixed by the protocol, the search configuration and the action path
-from the initial state.  The record holds the search provenance (the
-run ledger's :data:`~repro.obs.ledger.PROVENANCE_FIELDS`), the rest of
+from the initial state.  The record holds the search provenance
+(:data:`~repro.modelcheck.product.PROVENANCE_FIELDS`), the rest of
 the ``ProductSearch(...)`` arguments (the
 :data:`repro.memory.PROTOCOLS` registry name with p/b/v, caps,
 ablation switches, store configuration), :meth:`SearchEngine.snapshot
@@ -52,8 +52,7 @@ from ..core.operations import InternalAction, Load, Store
 from ..core.storder import describe_generator
 from ..engine.intern import StoreConfig
 from ..memory import PROTOCOLS, build_protocol
-from ..modelcheck.product import ProductSearch
-from ..obs.ledger import PROVENANCE_FIELDS, search_provenance
+from ..modelcheck.product import PROVENANCE_FIELDS, ProductSearch, search_provenance
 
 __all__ = [
     "Checkpoint",

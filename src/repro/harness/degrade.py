@@ -99,13 +99,10 @@ def degrade(
             telemetry.progress.budget = budget
     search = dict(mode=mode, reduce=reduce, por=por, store=store)
     budget.start()
-    try:
-        res = _degrade(
-            protocol, st_order, budget, search, fuzz_length, max_fuzz_runs,
-            seed, telemetry,
-        )
-    finally:
-        budget.stop()
+    res = _degrade(
+        protocol, st_order, budget, search, fuzz_length, max_fuzz_runs,
+        seed, telemetry,
+    )
     if telemetry is not None:
         telemetry.finish_run(
             verdict=res.verdict, states=res.stats.states,

@@ -24,13 +24,12 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from typing import Optional, Union
+from typing import Optional
 
 from ..core.protocol import Protocol
 from ..core.storder import STOrderGenerator
 from ..core.verify import VerificationResult, result_from_product
-from ..modelcheck.product import ProductSearch
-from ..obs.ledger import RunLedger, search_provenance
+from ..modelcheck.product import ProductSearch, search_provenance
 from .budget import Budget
 from .checkpoint import Checkpoint, CheckpointError
 
@@ -143,7 +142,6 @@ def _run_verification(
     por: Optional[str] = None,
     store=None,
     telemetry=None,
-    ledger: Optional[Union[str, RunLedger]] = None,
 ) -> VerificationResult:
     """Model-check ``protocol`` under a budget, checkpointing on
     truncation.
@@ -193,13 +191,6 @@ def _run_verification(
     (see ``docs/OBSERVABILITY.md``).  When
     it carries a flight recorder, the ring is dumped on a violation or
     a signal stop (exceptions are dumped by the public wrapper).
-
-    ``ledger`` (a :class:`repro.obs.ledger.RunLedger` or a path)
-    appends every *completed* run — final verdict, neither
-    budget-stopped nor cap-truncated — to the append-only run ledger,
-    keyed by the content hash of the search provenance; the result's
-    ``ledger_hash`` / ``ledger_prior`` fields report the hash and how
-    many identical runs were already recorded (the dedup signal).
     """
     used_backup: Optional[str] = None
     if resume_from is not None:
@@ -239,10 +230,9 @@ def _run_verification(
         )
         spent = 0.0
 
-    provenance = search_provenance(search)
     if telemetry is not None:
         telemetry.start_run(
-            **{k: v for k, v in provenance.items() if v is not None},
+            **{k: v for k, v in search_provenance(search).items() if v is not None},
             resumed=resume_from is not None,
         )
         if used_backup is not None:
@@ -256,10 +246,7 @@ def _run_verification(
     try:
         if budget is not None:
             budget.start()
-            try:
-                res = search.run(sig, telemetry)
-            finally:
-                budget.stop()
+            res = search.run(sig, telemetry)
             spent += budget.elapsed_s()
         else:
             res = search.run(sig, telemetry)
@@ -293,35 +280,4 @@ def _run_verification(
             telemetry.flight.dump(reason="violation")
         elif stop_reason is not None and stop_reason.startswith(SIGNAL_STOP_PREFIX):
             telemetry.flight.dump(reason=stop_reason)
-    if ledger is not None and res.stats.stop_reason is None and not res.stats.truncated:
-        # only completed searches enter the ledger: a budget-stopped or
-        # cap-truncated leg has no final verdict and its counts depend
-        # on the caps, which are run policy and outside the hash
-        if isinstance(ledger, (str,)):
-            ledger = RunLedger(ledger)
-        prior = len(ledger.lookup(provenance))
-        entry = ledger.record(
-            provenance=provenance,
-            verdict=result.verdict,
-            states=res.stats.states,
-            elapsed_s=round(spent, 6),
-            gauges={
-                "search.states": res.stats.states,
-                "search.transitions": res.stats.transitions,
-                "search.quiescent": res.stats.quiescent_states,
-                "search.interned": res.stats.interned_states,
-            },
-            snapshot=(
-                telemetry.registry.snapshot().as_dict()
-                if telemetry is not None and telemetry.registry is not None
-                else None
-            ),
-            trace=(
-                telemetry.trace.path
-                if telemetry is not None and telemetry.trace is not None
-                else None
-            ),
-        )
-        result.ledger_hash = entry.hash
-        result.ledger_prior = prior
     return result

@@ -32,18 +32,23 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.operations import Action
 from ..core.protocol import Protocol
-from ..core.storder import STOrderGenerator
+from ..core.storder import STOrderGenerator, describe_generator
 from ..engine import ComposedSystem, SearchEngine
 from ..engine.intern import as_config
 from ..engine.strategy import StopHook
 from ..obs.stats import ExplorationStats
 from .counterexample import Counterexample
 
-__all__ = ["ProductResult", "ProductSearch"]
+__all__ = [
+    "PROVENANCE_FIELDS",
+    "ProductResult",
+    "ProductSearch",
+    "search_provenance",
+]
 
 #: reusable no-op context for un-instrumented spans
 _NULL_CTX = contextlib.nullcontext()
@@ -283,3 +288,37 @@ class ProductSearch:
             out.non_quiescible == 0, None, out.stats, out.non_quiescible
         )
 
+
+#: the search fields that identify *what was searched*, as opposed to
+#: run policy (the store backend)
+PROVENANCE_FIELDS = (
+    "protocol",
+    "generator",
+    "mode",
+    "strategy",
+    "seed",
+    "exhaustive",
+    "reduce",
+    "model",
+    "preemptions",
+    "por",
+)
+
+
+def search_provenance(search: ProductSearch) -> Dict[str, object]:
+    """Extract the :data:`PROVENANCE_FIELDS` from a live
+    :class:`ProductSearch` (fresh or resumed from a checkpoint).  The
+    seed only steers the random walk, so it is recorded as ``None``
+    under every other strategy."""
+    return {
+        "protocol": search.protocol.describe(),
+        "generator": describe_generator(search.st_order),
+        "mode": search.mode,
+        "strategy": search.strategy,
+        "seed": search.seed if search.strategy == "random-walk" else None,
+        "exhaustive": not search.stop_on_violation,
+        "reduce": search.reduce,
+        "model": search.model_name,
+        "preemptions": search.preemptions,
+        "por": search.por,
+    }

@@ -14,13 +14,10 @@ Observability for the verification pipeline:
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`: a bounded ring
   of the latest trace events, dumped as ``<run>.flight.jsonl`` only
   when a run fails (violation, crash, signal);
-* :mod:`repro.obs.ledger` — :class:`RunLedger`: an append-only,
-  content-addressed JSONL record of completed runs, keyed by the
-  search-provenance hash (``repro runs`` browses it);
-* :mod:`repro.obs.bench` — normalized ``BENCH_verification.json``
-  entries, trace summaries and the states/sec CI regression gate;
+* :mod:`repro.obs.bench` — the ``BENCH_verification.json`` format,
+  trace summaries and the states/sec CI regression gate;
 * :mod:`repro.obs.report` — self-contained markdown/HTML run reports
-  and cross-run trend tables (``repro report``).
+  and benchmark trend tables (``repro report``).
 
 :class:`Telemetry` bundles registry, trace, progress and flight behind
 one optional handle threaded through every pipeline entry point;
@@ -33,14 +30,6 @@ counter dataclass.
 """
 
 from .flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
-from .ledger import (
-    DEFAULT_LEDGER_PATH,
-    LedgerEntry,
-    LedgerError,
-    RunLedger,
-    content_hash,
-    search_provenance,
-)
 from .metrics import (
     MetricsRegistry,
     MetricsSnapshot,
@@ -54,23 +43,17 @@ from .trace import EVENT_SCHEMA, TraceError, TraceWriter, read_trace, validate_t
 
 __all__ = [
     "DEFAULT_FLIGHT_CAPACITY",
-    "DEFAULT_LEDGER_PATH",
     "EVENT_SCHEMA",
     "ExplorationStats",
     "FlightRecorder",
-    "LedgerEntry",
-    "LedgerError",
     "MetricsRegistry",
     "MetricsSnapshot",
     "ProgressReporter",
-    "RunLedger",
     "Telemetry",
     "TraceError",
     "TraceWriter",
-    "content_hash",
     "format_span_tree",
     "read_trace",
-    "search_provenance",
     "span_tree_rows",
     "validate_trace_line",
 ]

@@ -1,14 +1,9 @@
-"""Normalized benchmark entries and trace summaries.
+"""The benchmark file format and trace summaries.
 
-This module owns the ``BENCH_verification.json`` format.  Two writers
-feed it:
-
-* ``benchmarks/record_verification.py`` — the trajectory recorder:
-  :func:`build_record` / :func:`write_record` produce the whole file
-  (baseline, current, speedups and the reduction/POR/store sections);
-* ``repro metrics --record`` — one-off run entries: a run's trace is
-  summarised (:func:`summarize_trace`) and appended under ``"runs"``
-  by :func:`append_run_entry` in the same normalized shape.
+This module owns the ``BENCH_verification.json`` format.  Its one
+writer is ``benchmarks/record_verification.py``: :func:`build_record`
+/ :func:`write_record` produce the whole file (baseline, current,
+speedups and the reduction/POR/store sections).
 
 :func:`check_states_per_sec` is the CI gate: it compares a run's
 states/sec against the checked-in baseline for the same workload and
@@ -20,7 +15,6 @@ benchmark — see ``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -32,8 +26,6 @@ __all__ = [
     "RunSummary",
     "summarize_trace",
     "load_summary",
-    "normalized_entry",
-    "append_run_entry",
     "build_record",
     "write_record",
     "check_states_per_sec",
@@ -161,45 +153,6 @@ def load_summary(path: str) -> RunSummary:
 # ----------------------------------------------------------------------
 
 
-def normalized_entry(
-    workload: str,
-    seconds: float,
-    states: int,
-    *,
-    reduce: str = "off",
-    por: str = "off",
-    source: str = "repro-metrics",
-) -> dict:
-    """The one shape every appended benchmark entry uses.
-
-    ``reduce`` and ``por`` are provenance, not different metrics: a
-    reduced run's ``states`` is the quotient (or ample-set-pruned)
-    count, so its states/sec is not comparable to an unreduced entry
-    of the same workload — record reduced runs under distinct workload
-    names (``mesi_p3b1v1_reduce_full`` / ``msi_p2b2v1_por_on``, not
-    the bare workload)."""
-    return {
-        "workload": workload,
-        "seconds": round(seconds, 6),
-        "states": states,
-        "states_per_sec": round(states / seconds, 3) if seconds > 0 else None,
-        "reduce": reduce,
-        "por": por,
-        "source": source,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    }
-
-
-def append_run_entry(bench_path: Union[str, Path], entry: dict) -> dict:
-    """Append a normalized entry under ``"runs"`` (file created if
-    missing); returns the updated record."""
-    path = Path(bench_path)
-    record = json.loads(path.read_text()) if path.exists() else {}
-    record.setdefault("runs", []).append(entry)
-    path.write_text(json.dumps(record, indent=2) + "\n")
-    return record
-
-
 def build_record(
     *,
     current: Dict[str, dict],
@@ -218,9 +171,7 @@ def build_record(
     the ``--reduce off`` vs reduced-level comparison, ``por`` to the
     ``--por off`` vs ``--por on`` comparison, and ``store`` to the
     ``--store mem`` vs ``--store disk`` capacity comparison (``None``
-    carries any previous section forward).  Any ``"runs"`` entries already in
-    ``previous`` are carried forward — appended one-off measurements
-    are part of the trajectory too.
+    carries any previous section forward).
     """
     record = {
         "benchmark": "E-verify representative verification wall time",
@@ -275,8 +226,6 @@ def build_record(
         base = baseline.get(name)
         if base and base.get("seconds"):
             record["speedup"][name] = round(base["seconds"] / cur["seconds"], 3)
-    if previous and previous.get("runs"):
-        record["runs"] = previous["runs"]
     return record
 
 

@@ -7,13 +7,11 @@ artifact or an email as-is):
 * a **run report** for one trace (or flight dump): verdict header,
   the hierarchical span tree, reduction/POR effectiveness, and every
   recovery/forensic event the trace carries;
-* **trend tables** across runs: the ledger grouped by search
-  provenance hash (is this exact search getting faster? has it ever
-  flipped verdict?) and the ``BENCH_verification.json`` trajectory.
+* **trend tables** from the ``BENCH_verification.json`` trajectory.
 
 Everything here is a pure function of already-validated inputs —
-malformed traces/ledgers raise before rendering starts, which the CLI
-maps to exit code 2.
+malformed traces raise before rendering starts, which the CLI maps to
+exit code 2.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from .bench import RunSummary, summarize_trace
-from .ledger import LedgerEntry, group_by_hash
 from .metrics import format_span_tree
 from .trace import read_trace
 
@@ -166,101 +163,31 @@ def run_report_sections(events: List[dict]) -> List[Section]:
 
 
 # ----------------------------------------------------------------------
-# cross-run trends
+# benchmark trends
 # ----------------------------------------------------------------------
 
 
-def trend_sections(
-    entries: Sequence[LedgerEntry],
-    bench_record: Optional[dict] = None,
-) -> List[Section]:
-    """Trend tables from ledger entries and/or a benchmark record."""
-    sections: List[Section] = []
-
-    if entries:
-        rows = []
-        for h, group in group_by_hash(entries).items():
-            first, last = group[0], group[-1]
-            prov = last.provenance
-            verdicts = {e.verdict for e in group}
-            label = str(prov.get("protocol", "?"))
-            knobs = "/".join(
-                str(prov.get(k, "?")) for k in ("mode", "strategy", "reduce", "por")
-            )
-            best = min((e.elapsed_s for e in group if e.elapsed_s > 0), default=0.0)
-            trend = (
-                f"{first.elapsed_s:.3g}s → {last.elapsed_s:.3g}s"
-                if len(group) > 1
-                else f"{last.elapsed_s:.3g}s"
-            )
-            rows.append(
-                (
-                    h[:12],
-                    label,
-                    knobs,
-                    len(group),
-                    last.verdict if len(verdicts) == 1 else "MIXED: " + ", ".join(sorted(verdicts)),
-                    last.states,
-                    f"{best:.3g}s",
-                    trend,
-                )
-            )
-        sections.append(
-            Section(
-                "Ledger runs by search hash",
-                headers=["hash", "protocol", "mode/strategy/reduce/por", "runs", "verdict", "states", "best", "elapsed trend"],
-                rows=rows,
-                prose=(
-                    "One row per search provenance hash (the store backend "
-                    "is run policy — excluded). A MIXED verdict or varying "
-                    "state count inside one hash would mean the engines "
-                    "broke their determinism contract."
-                ),
-            )
+def trend_sections(bench_record: dict) -> List[Section]:
+    """The benchmark record's current workloads as a table."""
+    current = bench_record.get("current", {}).get("workloads", {})
+    if not current:
+        return []
+    rows = [
+        (
+            name,
+            w.get("states"),
+            f"{w.get('seconds', 0):.3g}s",
+            f"{w['states'] / w['seconds']:.0f}" if w.get("seconds") else "—",
         )
-
-    if bench_record:
-        current = bench_record.get("current", {}).get("workloads", {})
-        if current:
-            rows = [
-                (
-                    name,
-                    w.get("states"),
-                    f"{w.get('seconds', 0):.3g}s",
-                    f"{w['states'] / w['seconds']:.0f}"
-                    if w.get("seconds")
-                    else "—",
-                )
-                for name, w in sorted(current.items())
-            ]
-            sections.append(
-                Section(
-                    "Benchmark workloads (current)",
-                    headers=["workload", "states", "seconds", "states/s"],
-                    rows=rows,
-                )
-            )
-        runs = bench_record.get("runs", [])
-        if runs:
-            rows = [
-                (
-                    r.get("recorded_at"),
-                    r.get("workload"),
-                    r.get("states"),
-                    r.get("seconds"),
-                    r.get("states_per_sec"),
-                )
-                for r in runs
-            ]
-            sections.append(
-                Section(
-                    "Recorded one-off runs",
-                    headers=["recorded", "workload", "states", "seconds", "states/s"],
-                    rows=rows,
-                )
-            )
-
-    return sections
+        for name, w in sorted(current.items())
+    ]
+    return [
+        Section(
+            "Benchmark workloads (current)",
+            headers=["workload", "states", "seconds", "states/s"],
+            rows=rows,
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +268,6 @@ def render_html(title: str, sections: List[Section]) -> str:
 def render_report(
     *,
     trace_path: Optional[str] = None,
-    ledger_entries: Optional[Sequence[LedgerEntry]] = None,
     bench_path: Optional[Union[str, Path]] = None,
     fmt: str = "md",
     title: Optional[str] = None,
@@ -350,8 +276,7 @@ def render_report(
 
     ``trace_path`` contributes the single-run sections (torn final
     lines are tolerated — a flight dump or crashed trace still
-    renders); ``ledger_entries`` and ``bench_path`` contribute the
-    trend sections.  ``fmt`` is ``"md"`` or ``"html"``.
+    renders); ``bench_path`` contributes the trend sections.  ``fmt`` is ``"md"`` or ``"html"``.
     """
     sections: List[Section] = []
     if title is None:
@@ -362,8 +287,8 @@ def render_report(
     bench_record = None
     if bench_path is not None and Path(bench_path).exists():
         bench_record = json.loads(Path(bench_path).read_text())
-    if ledger_entries or bench_record:
-        sections.extend(trend_sections(ledger_entries or [], bench_record))
+    if bench_record:
+        sections.extend(trend_sections(bench_record))
     if fmt == "html":
         return render_html(title, sections)
     return render_markdown(title, sections)

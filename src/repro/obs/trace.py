@@ -77,16 +77,11 @@ class TraceWriter:
         self._sink = sink
         self._seq = 0
         self._owns = False
-        #: the file path behind the sink when opened via :meth:`open`
-        #: (``None`` for streams and lists) — consumers such as the run
-        #: ledger record it alongside the run
-        self.path: Optional[str] = None
 
     @classmethod
     def open(cls, path: str) -> "TraceWriter":
         w = cls(io.open(path, "w", encoding="utf-8"))
         w._owns = True
-        w.path = path
         return w
 
     def emit(self, ev: str, **fields) -> None:

@@ -9,6 +9,7 @@ import os
 import pickle
 import signal
 import struct
+import tracemalloc
 import zlib
 
 import pytest
@@ -34,7 +35,7 @@ from repro.memory import (
     lazy_caching_st_order,
 )
 from repro.harness.checkpoint import CHECKPOINT_VERSION
-from repro.modelcheck.product import ProductSearch
+from repro.modelcheck.product import PROVENANCE_FIELDS, ProductSearch, search_provenance
 from repro.obs.stats import ExplorationStats
 
 
@@ -46,27 +47,32 @@ def test_state_budget_reason():
     assert b.should_stop(ExplorationStats(states=5)) is None
     reason = b.should_stop(ExplorationStats(states=10))
     assert reason is not None and "state budget" in reason
-    b.stop()
 
 
 def test_wall_budget_reason():
     b = Budget(wall_s=0.0).start()
     reason = b.should_stop(ExplorationStats())
     assert reason is not None and "wall-clock" in reason
-    b.stop()
 
 
 def test_no_budget_never_stops():
     b = Budget().start()
     assert b.should_stop(ExplorationStats(states=10**9)) is None
-    b.stop()
 
 
 def test_memory_budget_uses_probe():
     b = Budget(memory_mb=1.0, mem_poll_interval=1, memory_probe=lambda: 2.0).start()
     reason = b.should_stop(ExplorationStats())
     assert reason is not None and "memory budget" in reason
-    b.stop()
+
+
+def test_memory_budget_default_probe_reads_process_rss():
+    # the interpreter alone is far above 1 MB of peak RSS, so the
+    # default probe stops on its first poll, with no tracing switched on
+    b = Budget(memory_mb=1.0, mem_poll_interval=1).start()
+    reason = b.should_stop(ExplorationStats())
+    assert reason is not None and "memory budget exhausted" in reason
+    assert not tracemalloc.is_tracing()
 
 
 def test_budget_slice_takes_fraction_of_remaining():
@@ -74,7 +80,6 @@ def test_budget_slice_takes_fraction_of_remaining():
     s = b.slice(0.5)
     assert s.states == 7
     assert s.wall_s is not None and 0 < s.wall_s <= 50.0
-    b.stop()
 
 
 def test_budget_start_is_idempotent():
@@ -82,7 +87,6 @@ def test_budget_start_is_idempotent():
     t0 = b._t0
     b.start()
     assert b._t0 == t0
-    b.stop()
 
 
 # ----------------------------------------------------- truncation + stats
@@ -557,3 +561,58 @@ def test_stop_and_resume_keeps_the_fingerprint(strategy, reduce, por, store, tmp
         # keys stream into the disk store; they are never all resident
         assert resumed.engine.store.store_stats()["resident_keys"] <= 16
     assert search_fingerprint(resumed) == whole
+
+
+# ----------------------------------------------------- search provenance
+
+
+def _provenance(protocol, st_order=None, **kw):
+    return search_provenance(ProductSearch(protocol, st_order, mode="fast", **kw))
+
+
+def test_generator_and_walk_seed_are_search_provenance():
+    # the same protocol under two ST-order generators is two different
+    # products (lazy caching verifies under write order, is refuted
+    # under real-time order); two random walks with different seeds
+    # explore different state sets
+    lazy = LazyCachingProtocol(p=2, b=1, v=1)
+    assert _provenance(lazy, lazy_caching_st_order())["generator"] == (
+        "write-order(memory-write)"
+    )
+    assert _provenance(lazy)["generator"] == "real-time"
+
+    walks = [
+        _provenance(BuggyMSIProtocol(p=2, b=1, v=1), strategy="random-walk", seed=seed)
+        for seed in (0, 1, 2)
+    ]
+    assert [w["seed"] for w in walks] == [0, 1, 2]
+    # the seed steers nothing else, so it is not provenance there
+    bfs = [_provenance(SerialMemory(p=2, b=1, v=2), seed=seed) for seed in (0, 1)]
+    assert bfs[0]["seed"] is None
+    assert bfs[0] == bfs[1]
+
+
+def test_fingerprint_provenance_keys_match_provenance_fields():
+    from repro.difftest import SearchFingerprint
+
+    fp = SearchFingerprint(
+        protocol="p", mode="fast", strategy="bfs",
+        exhaustive=False, verdict="verified", states=1, transitions=1,
+        quiescent=1, non_quiescible=0, violation_keys=frozenset(),
+        canonical_violation=None, cx_len=None, cx_replays=None,
+    )
+    assert set(fp.provenance()) == set(PROVENANCE_FIELDS)
+
+
+def test_store_backend_does_not_change_provenance_or_gauges(tmp_path):
+    from repro.difftest import fingerprint
+    from repro.engine.intern import StoreConfig
+
+    mem = fingerprint(SerialMemory(p=2, b=1, v=1))
+    disk = fingerprint(
+        SerialMemory(p=2, b=1, v=1),
+        store=StoreConfig(kind="disk", cap_keys=16, dir=str(tmp_path)),
+    )
+    assert mem.provenance() == disk.provenance()
+    assert dict(mem.metrics)["search.states"] == mem.states
+    assert mem.metrics == disk.metrics
