@@ -1,7 +1,8 @@
-"""Digest every key a reduced search interns, to compare two builds.
+"""Digest every key a search interns, to compare two builds.
 
-A change to how orbit minima are computed (or how keys are built) must
-leave the interned keys bit-identical.  This script runs exhaustive
+A change to how orbit minima are computed, how keys are built or how
+the product steps its components must leave the interned keys
+bit-identical.  This script runs exhaustive
 fast-mode searches and prints, per configuration, the state and
 transition counts, the ``reduction.fallbacks`` counter (``-`` on a
 build without it) and the sha256 of the ``repr`` of every interned key
@@ -17,9 +18,11 @@ empty ``p``, ``b`` or ``v`` takes the protocol's default size, ``por``
 is ``off`` unless given, and ``max_states`` caps the search (the BFS
 order is deterministic, so a capped run digests the same first keys on
 every build).  The default set covers every registry protocol that
-declares a symmetry spec at every ``--reduce`` level; two-block
-configurations, whose exhaustive searches run for many minutes, are
-capped.
+declares a symmetry spec at every ``--reduce`` level, plus three
+unreduced searches (``--reduce off``: MESI, lazy caching and buggy
+MSI), whose keys are the composed keys with no orbit minimum taken;
+two-block configurations, whose exhaustive searches run for many
+minutes, are capped.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ def default_configs():
     out = [name + level for name in REDUCIBLE for level in REDUCE_LEVELS[1:]]
     out += [name + level + ":off:20000" for name in TWO_BLOCK for level in REDUCE_LEVELS[2:]]
     out += ["lazy:2:1:2:full", "lazy:2:1:2:full:on"]
+    out += ["mesi:2:1:2:off", "lazy:2:1:2:off", "buggy-msi:2:1:1:off"]
     return out
 
 

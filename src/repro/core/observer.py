@@ -17,12 +17,12 @@ run's witness graph ``W(R)`` —
   ``S``, and any LD inheriting from ``N`` afterwards gets it
   immediately; ⊥-loads get a forced edge to their block's STo head.
 
-Node handles are retired — their descriptor IDs freed for reuse — as
-soon as no future edge can touch them, which keeps the set of live
-nodes bounded by roughly ``L + p·b`` (Section 4.4; the exact roots are
-spelled out in ``_roots``).  The high-water mark of IDs in use is
-recorded so benchmarks can compare the measured bandwidth against the
-paper's bound.
+A node's handle *is* its descriptor ID.  Nodes are retired — their
+IDs freed for reuse — as soon as no future edge can touch them, which
+keeps the set of live nodes bounded by roughly ``L + p·b`` (Section
+4.4; the exact roots are spelled out in ``_roots``).  The high-water
+mark of IDs in use is recorded so benchmarks can compare the measured
+bandwidth against the paper's bound.
 
 The protocol is **in the class Γ** (Definition 4.1) with respect to
 its tracking labels and the chosen generator iff the checker accepts
@@ -43,7 +43,7 @@ from .storder import RealTimeSTOrder, Serialized, STOrderGenerator
 
 __all__ = ["Observer"]
 
-Handle = int
+Handle = int  # a node's descriptor ID
 
 
 class Observer:
@@ -62,9 +62,7 @@ class Observer:
         "eager_free",
         "unpin_heads",
         "violation",
-        "_next_handle",
         "_op",
-        "_id",
         "_free_ids",
         "_ids_allocated",
         "_loc",
@@ -105,10 +103,11 @@ class Observer:
         self.eager_free = eager_free
         self.unpin_heads = unpin_heads
         self.violation: Optional[str] = None
-        self._next_handle = 1
 
+        # live nodes, keyed by handle = descriptor ID.  Freeing a node
+        # clears every reference to it, so a reused ID never meets a
+        # stale one.
         self._op: Dict[Handle, Operation] = {}
-        self._id: Dict[Handle, int] = {}
         self._free_ids: List[int] = []  # heap
         self._ids_allocated = 0
 
@@ -145,11 +144,10 @@ class Observer:
         return self._ids_allocated
 
     def _free_handle(self, h: Handle, out: List[Symbol]) -> None:
-        ident = self._id.pop(h)
-        heapq.heappush(self._free_ids, ident)
+        del self._op[h]
+        heapq.heappush(self._free_ids, h)
         if self.eager_free:
-            out.append(FreeIdSym(ident))
-        self._op.pop(h, None)
+            out.append(FreeIdSym(h))
         self._succ.pop(h, None)
         for block in [b for b, x in self._head_of_block.items() if x == h]:
             del self._head_of_block[block]
@@ -161,7 +159,7 @@ class Observer:
 
     @property
     def ids_in_use(self) -> int:
-        return len(self._id)
+        return len(self._op)
 
     @property
     def max_ids_allocated(self) -> int:
@@ -173,19 +171,16 @@ class Observer:
     # node creation
     # ------------------------------------------------------------------
     def _new_node(self, op: Operation, out: List[Symbol]) -> Handle:
-        h = self._next_handle
-        self._next_handle += 1
-        ident = self._alloc_id()
+        h = self._alloc_id()
         self._op[h] = op
-        self._id[h] = ident
-        out.append(NodeSym(ident, op))
+        out.append(NodeSym(h, op))
         return h
 
     def _edge(self, u: Handle, v: Handle, kind: EdgeKind, edges: Dict) -> None:
         """Stage an edge emission; same-pair annotations within one
         protocol step merge into the paper's combined labels
         (``po-inh``, ``po-STo``, ...)."""
-        key = (self._id[u], self._id[v])
+        key = (u, v)
         edges[key] = edges.get(key, EdgeKind.NONE) | kind
 
     # ------------------------------------------------------------------
@@ -274,7 +269,7 @@ class Observer:
                 ):
                     self._bottom_dead.add(block)
         self._collect_garbage(out)
-        live = len(self._id)
+        live = len(self._op)
         if live > self.max_live:
             self.max_live = live
         return out
@@ -336,10 +331,10 @@ class Observer:
 
     def _collect_garbage(self, out: List[Symbol]) -> None:
         roots = self._roots()
-        _id = self._id
-        if len(roots) >= len(_id):
+        _op = self._op
+        if len(roots) >= len(_op):
             return  # every live node fills a role: nothing to retire
-        for h in [h for h in _id if h not in roots]:
+        for h in [h for h in _op if h not in roots]:
             self._free_handle(h, out)
 
     # ------------------------------------------------------------------
@@ -349,9 +344,7 @@ class Observer:
         other = Observer.__new__(Observer)
         other.protocol = self.protocol
         other.gen = self.gen.copy()
-        other._next_handle = self._next_handle
         other._op = dict(self._op)
-        other._id = dict(self._id)
         other._free_ids = list(self._free_ids)
         other._ids_allocated = self._ids_allocated
         other._loc = dict(self._loc)
@@ -387,7 +380,7 @@ class Observer:
         observer *would* produce had the whole run been permuted by it
         — the symmetry layer's bridge between the group action and the
         canonical descriptor-ID renaming.  No permuted copy is built.
-        Descriptor IDs and handles are allocation-order artifacts
+        Descriptor IDs (the node handles) are allocation-order artifacts
         carrying no sort content, and a permuted run fires the image of
         each rule in the same order, so the permuted observer's state
         *is* this state with role-slot indices and operation payloads
@@ -403,7 +396,6 @@ class Observer:
         the key re-sorts by *renamed* ID (STo successors, pending
         tracked loads) wait for the completed renaming.
         """
-        _id = self._id
         canon: Dict[int, int] = {}
         # visit = canon.setdefault(id, len(canon)): the default is
         # evaluated before a possible insert, so it names fresh IDs
@@ -450,29 +442,29 @@ class Observer:
                         if perm is None
                         else (pb[op.block - 1], vmap[op.value])
                     )
-                    loc_part_l.append(name(_id[h], len(canon)))
+                    loc_part_l.append(name(h, len(canon)))
             loc_data: Tuple = tuple(loc_data_l)
             loc_part = tuple(loc_part_l)
         else:
             loc_data = ()
             loc_part = tuple(
-                None if h is None else name(_id[h], len(canon))
+                None if h is None else name(h, len(canon))
                 for h in loc_handles
             )
         proc_part = tuple(
-            (p, name(_id[h], len(canon)))
+            (p, name(h, len(canon)))
             for p, h in (sorted(procs) if len(procs) > 1 else procs)
         )
         tail_part = tuple(
-            (b, name(_id[h], len(canon)))
+            (b, name(h, len(canon)))
             for b, h in (sorted(tails) if len(tails) > 1 else tails)
         )
         head_part = tuple(
-            (b, name(_id[h], len(canon)))
+            (b, name(h, len(canon)))
             for b, h in (sorted(heads) if len(heads) > 1 else heads)
         )
         for h in self.gen.ordered_handles(perm):
-            name(_id[h], len(canon))
+            name(h, len(canon))
         succ = self._succ
         if succ:
             # Follow STo chains from already-named nodes, in canonical
@@ -486,49 +478,43 @@ class Observer:
             # search happened to keep, and permutation-equivalent states
             # stopped merging (the differential suite catches this as a
             # strategy-dependent state count).
-            rev = {i: h for h, i in _id.items()}
             queue = list(canon)
             qi = 0
             while qi < len(queue):
-                h = rev.get(queue[qi])
+                v = succ.get(queue[qi])
                 qi += 1
-                if h is None:
-                    continue
-                v = succ.get(h)
-                if v is not None:
-                    iv = _id[v]
-                    if iv not in canon:
-                        canon[iv] = len(canon)
-                        queue.append(iv)
+                if v is not None and v not in canon:
+                    canon[v] = len(canon)
+                    queue.append(v)
         if ploads:
             if len(ploads) > 1:
                 # canonical sort: tracked source's canonical number,
                 # never its raw ID (sources are live STs, named above)
                 get = canon.get
                 ploads = sorted(
-                    ploads, key=lambda e: (e[0][0], get(_id[e[0][1]], 1 << 60))
+                    ploads, key=lambda e: (e[0][0], get(e[0][1], 1 << 60))
                 )
             for _k, h in ploads:
-                name(_id[h], len(canon))
+                name(h, len(canon))
         pbot_part = tuple(
-            (k, name(_id[h], len(canon)))
+            (k, name(h, len(canon)))
             for k, h in (sorted(pbots) if len(pbots) > 1 else pbots)
         )
         # safety net: anything still unnamed (should not happen; every
         # live node fills a role, so normally all IDs are named by now)
-        if len(canon) != len(_id):
-            for h in sorted(_id):
-                name(_id[h], len(canon))
+        if len(canon) != len(self._op):
+            for h in sorted(self._op):
+                name(h, len(canon))
 
         if succ:
             succ_part = tuple(
-                sorted((canon[_id[u]], canon[_id[v]]) for u, v in succ.items())
+                sorted((canon[u], canon[v]) for u, v in succ.items())
             )
         else:
             succ_part = ()
         if ploads:
             pload_part = tuple(
-                sorted(((p, canon[_id[s]]), canon[_id[h]]) for (p, s), h in ploads)
+                sorted(((p, canon[s]), canon[h]) for (p, s), h in ploads)
             )
         else:
             pload_part = ()
@@ -543,7 +529,7 @@ class Observer:
             pload_part,
             pbot_part,
             tuple(sorted(dead)),
-            self.gen.state_key(lambda h: canon[_id[h]], perm),
+            self.gen.state_key(canon.__getitem__, perm),
         )
         return canon, key
 

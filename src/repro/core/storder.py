@@ -38,7 +38,7 @@ __all__ = [
     "describe_generator",
 ]
 
-Handle = int  # observer node handles (opaque ints)
+Handle = int  # observer node handles (the nodes' descriptor IDs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,8 +77,9 @@ class STOrderGenerator(abc.ABC):
         self, rename: Callable[[Handle], int] = lambda h: h, perm=None
     ) -> Tuple:
         """Hashable snapshot of generator state.  ``rename`` maps node
-        handles to canonical names (the observer passes its
-        handle-to-descriptor-ID map so keys are run-independent).
+        handles to canonical names (the observer passes its canonical
+        renaming of descriptor IDs, which are its handles, so keys are
+        run-independent).
         ``perm`` (a symmetry permutation, see engine/reduction.py;
         ``None`` is the identity) asks for the key the generator would
         have had the run been permuted: proc/block payloads mapped,
@@ -98,8 +99,9 @@ class STOrderGenerator(abc.ABC):
         for :meth:`state_key`: the order the generator would use had
         the run been permuted.  Generators whose state has an intrinsic
         order (FIFO position, say) must override; the base fallback
-        sorts raw handles and ignores ``perm``, which is only canonical
-        for generators that never hold more than one handle."""
+        sorts raw handles (descriptor IDs) and ignores ``perm``, which
+        is only canonical for generators that never hold more than one
+        handle."""
         return sorted(self.live_handles())
 
     def may_emit_on_internal(self, action: InternalAction) -> bool:

@@ -12,9 +12,10 @@ contract::
 * :class:`ObserverComponent` — states are
   :class:`~repro.core.observer.Observer` instances, inputs are
   protocol transitions, emissions are descriptor symbols;
-* :class:`CheckerComponent` — states are checker instances, inputs are
-  symbol batches, emissions are empty (the verdict lives in the
-  state).
+* :class:`CheckerComponent` — states are checker instances (in fast
+  mode, interned :class:`~repro.core.cycle_checker.CycleState`
+  values), inputs are symbol batches, emissions are empty (the verdict
+  lives in the state).
 
 :class:`ComposedSystem` chains protocol → observer → checker into one
 transition system — the composition that
@@ -28,10 +29,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.checker import Checker
-from ..core.cycle_checker import CycleChecker
+from ..core.cycle_checker import CycleChecker, CycleState
+from ..core.descriptor import AddIdSym, EdgeSym, FreeIdSym, NodeSym
 from ..core.protocol import Protocol, Transition
 from ..core.storder import STOrderGenerator
 
@@ -126,25 +128,100 @@ class CheckerComponent(Component):
     """A descriptor checker as a component.  Inputs are symbol
     batches; an empty batch shares the state (the checker cannot have
     moved), which is the fork-skipping optimisation the product search
-    has always relied on."""
+    has always relied on.
 
-    def __init__(self, full: bool = True, *, model=None):
+    A :class:`~repro.core.cycle_checker.CycleChecker` (fast mode) runs
+    as the finite automaton of Lemma 3.3: its states are interned
+    :class:`~repro.core.cycle_checker.CycleState` values, one per
+    distinct key, and :meth:`step` looks each ``(state, batch)`` up in
+    a memoized transition table keyed by the batch's ID projection
+    (:func:`_id_projection`).  Only a miss runs ``feed``, on a checker
+    decoded with :meth:`~repro.core.cycle_checker.CycleChecker.from_key`.
+    A batch that closes a cycle is never memoized: the step returns the
+    fresh rejected checker, with its own ``violations()``.  Interned
+    states stay in the pool for the component's lifetime, so the
+    table's keys never outlive them.  Any other checker (full mode's
+    :class:`~repro.core.checker.Checker`, a rejected ``CycleChecker``)
+    steps by fork and feed.
+
+    ``intern=False`` keeps fork and feed for the cycle checker too.
+    The product passes it when the observer does not announce freed
+    IDs: the checker then holds IDs the canonical renaming does not
+    cover, two ID-sets can rename alike, and ``state_key`` breaks the
+    tie by token age, which a ``CycleState`` does not carry.
+    """
+
+    def __init__(self, full: bool = True, *, model=None, intern: bool = True):
         self.full = full
         self.model = model
+        self.intern = intern
+        #: key -> its interned state
+        self._states: Dict[Tuple, CycleState] = {}
+        #: (state, ID projection of a batch) -> successor state
+        self._table: Dict[Tuple, CycleState] = {}
+        #: table misses: steps that ran ``feed``
+        self.misses = 0
 
     def initial(self):
         model = self.model
         if model is None:
             # no model given: SC's pair
-            return Checker() if self.full else CycleChecker()
-        return model.make_checker("full" if self.full else "fast")
+            chk = Checker() if self.full else CycleChecker()
+        else:
+            chk = model.make_checker("full" if self.full else "fast")
+        if self.intern and type(chk) is CycleChecker:
+            return self._interned(chk.state_key())
+        return chk
+
+    @property
+    def states(self) -> int:
+        """Interned checker states so far."""
+        return len(self._states)
+
+    def _interned(self, key: Tuple) -> CycleState:
+        state = self._states.get(key)
+        if state is None:
+            state = self._states[key] = CycleState(key)
+        return state
 
     def step(self, state, inp: Tuple):
         if not inp:
             return state, ()
+        if type(state) is CycleState:
+            slot = (state, _id_projection(inp))
+            nxt = self._table.get(slot)
+            if nxt is None:
+                self.misses += 1
+                chk = CycleChecker.from_key(state.key)
+                if not chk.feed_all(inp):
+                    return chk, ()
+                nxt = self._table[slot] = self._interned(chk.state_key())
+            return nxt, ()
         chk = state.fork()
         chk.feed_all(inp)
         return chk, ()
+
+
+def _id_projection(batch: Tuple) -> Tuple:
+    """What :meth:`CycleChecker.feed
+    <repro.core.cycle_checker.CycleChecker.feed>` reads of a symbol
+    batch: each symbol's kind and IDs, labels dropped.  The kinds
+    project to different shapes (node: the ID, edge: a pair, free-ID:
+    a 1-tuple, add-ID: a triple), so no two symbols of different kinds
+    share a projection."""
+    out = []
+    for s in batch:
+        if isinstance(s, EdgeSym):
+            out.append((s.src, s.dst))
+        elif isinstance(s, NodeSym):
+            out.append(s.id)
+        elif isinstance(s, FreeIdSym):
+            out.append((s.id,))
+        elif isinstance(s, AddIdSym):
+            out.append((s.id, s.new_id, None))
+        else:
+            raise TypeError(f"not a descriptor symbol: {s!r}")
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +402,9 @@ class ComposedSystem(System):
             unpin_heads=unpin_heads,
             model=self.model,
         )
-        self.checker_comp = CheckerComponent(full=not fast, model=self.model)
+        self.checker_comp = CheckerComponent(
+            full=not fast, model=self.model, intern=eager_free
+        )
         self._fast = fast
 
     def ample_candidates(self, state, steps) -> Optional[list]:

@@ -13,6 +13,9 @@
 4. **randomised fuzz** via :func:`repro.core.verify.check_run` until
    the budget runs dry.
 
+Stages 3 and 4 each run at least one program / run, even when the
+model checks spent the whole budget.
+
 The returned :class:`~repro.core.verify.VerificationResult` never
 lies: a full proof keeps ``confidence="proof"``, any concrete
 violation (from whichever stage) is ``"refuted"`` with a
@@ -79,8 +82,9 @@ def degrade(
     """Verify ``protocol`` within ``budget``, degrading gracefully.
 
     Never raises on resource exhaustion and never hangs (every stage
-    is budget-polled); the result's ``confidence`` field states which
-    rung of the ladder produced the verdict.  ``reduce``, ``por`` and
+    is budget-polled; the litmus and fuzz rungs may overrun the wall
+    budget by their first program / run); the result's ``confidence``
+    field states which rung of the ladder produced the verdict.  ``reduce``, ``por`` and
     ``store`` configure the model-check rungs as in
     :class:`~repro.modelcheck.product.ProductSearch`, except that the
     depth-bounded rung runs without POR, which a depth bound makes
@@ -155,10 +159,14 @@ def _degrade(protocol, st_order, budget, search, fuzz_length, max_fuzz_runs,
     from ..litmus import CORPUS, outcomes_sc
     from ..litmus.runner import runs_for_outcome
 
+    # the cheap rungs run at least one program / run each even when the
+    # model checks spent the whole budget: a starved ladder then still
+    # meets a bug those find at once, at the price of overrunning the
+    # wall budget by one litmus program and one fuzz run
     _stage(telemetry, "litmus")
     ran = 0
     for prog in CORPUS:
-        if budget.exhausted():
+        if ran and budget.exhausted():
             break
         if (
             prog.num_procs > protocol.p
@@ -184,7 +192,7 @@ def _degrade(protocol, st_order, budget, search, fuzz_length, max_fuzz_runs,
     _stage(telemetry, "fuzz")
     rng = random.Random(seed)
     runs = 0
-    while runs < max_fuzz_runs and not budget.exhausted():
+    while runs < max_fuzz_runs and not (runs and budget.exhausted()):
         run = random_run(protocol, fuzz_length, rng, end_quiescent=True)
         gen = st_order.copy() if st_order is not None else None
         verdict = check_run(protocol, run, gen)

@@ -231,6 +231,13 @@ class ProductSearch:
         if telemetry is not None and sel is not None:
             telemetry.record_por(sel)
 
+    def _record_checker(self, telemetry) -> None:
+        """Publish ``checker.*`` gauges for this run, if the checker
+        runs as an interned automaton (fast mode)."""
+        comp = self.system.checker_comp
+        if telemetry is not None and comp.states:
+            telemetry.record_checker(comp)
+
     def _record_store(self, telemetry) -> None:
         """Publish ``store.*`` gauges for this run."""
         if telemetry is not None:
@@ -267,6 +274,7 @@ class ProductSearch:
             telemetry.record_search(out.stats)
             self._record_reduction(telemetry)
             self._record_por(telemetry)
+            self._record_checker(telemetry)
             self._record_store(telemetry)
         if out.status == "violation":
             assert out.violating is not None

@@ -51,7 +51,7 @@ from .base import ConsistencyModel
 
 __all__ = ["CausalConsistency", "CausalObserver"]
 
-Handle = int
+Handle = int  # a node's descriptor ID
 
 
 class CausalObserver:
@@ -69,9 +69,7 @@ class CausalObserver:
         "self_check",
         "eager_free",
         "violation",
-        "_next_handle",
         "_op",
-        "_id",
         "_free_ids",
         "_ids_allocated",
         "_loc",
@@ -98,9 +96,9 @@ class CausalObserver:
         self.self_check = self_check
         self.eager_free = eager_free
         self.violation: Optional[str] = None
-        self._next_handle = 1
+        # live nodes, keyed by handle = descriptor ID (as in the SC
+        # observer)
         self._op: Dict[Handle, Operation] = {}
-        self._id: Dict[Handle, int] = {}
         self._free_ids: List[int] = []
         self._ids_allocated = 0
         L = protocol.num_locations
@@ -123,19 +121,16 @@ class CausalObserver:
 
     @property
     def ids_in_use(self) -> int:
-        return len(self._id)
+        return len(self._op)
 
     @property
     def max_ids_allocated(self) -> int:
         return self._ids_allocated
 
     def _new_node(self, op: Operation, out: List[Symbol]) -> Handle:
-        h = self._next_handle
-        self._next_handle += 1
-        ident = self._alloc_id()
+        h = self._alloc_id()
         self._op[h] = op
-        self._id[h] = ident
-        out.append(NodeSym(ident, op))
+        out.append(NodeSym(h, op))
         return h
 
     # ------------------------------------------------------------------
@@ -148,7 +143,7 @@ class CausalObserver:
         tracking = transition.tracking
 
         def edge(u: Handle, v: Handle, kind: EdgeKind) -> None:
-            key = (self._id[u], self._id[v])
+            key = (u, v)
             edges[key] = edges.get(key, EdgeKind.NONE) | kind
 
         if isinstance(action, (Store, Load)):
@@ -202,7 +197,7 @@ class CausalObserver:
 
         out.extend(EdgeSym(u, v, kind) for (u, v), kind in edges.items())
         self._collect_garbage(out)
-        live = len(self._id)
+        live = len(self._op)
         if live > self.max_live:
             self.max_live = live
         return out
@@ -217,17 +212,16 @@ class CausalObserver:
         for h in self._loc.values():
             if h is not None:
                 roots.add(h)
-        _id = self._id
-        if len(roots) >= len(_id):
+        _op = self._op
+        if len(roots) >= len(_op):
             return
         import heapq
 
-        for h in [h for h in _id if h not in roots]:
-            ident = _id.pop(h)
-            heapq.heappush(self._free_ids, ident)
+        for h in [h for h in _op if h not in roots]:
+            del _op[h]
+            heapq.heappush(self._free_ids, h)
             if self.eager_free:
-                out.append(FreeIdSym(ident))
-            self._op.pop(h, None)
+                out.append(FreeIdSym(h))
 
     # ------------------------------------------------------------------
     def fork(self) -> "CausalObserver":
@@ -236,9 +230,7 @@ class CausalObserver:
         other.self_check = self.self_check
         other.eager_free = self.eager_free
         other.violation = self.violation
-        other._next_handle = self._next_handle
         other._op = dict(self._op)
-        other._id = dict(self._id)
         other._free_ids = list(self._free_ids)
         other._ids_allocated = self._ids_allocated
         other._loc = dict(self._loc)
@@ -254,7 +246,6 @@ class CausalObserver:
         index order, then per-(proc, block) tails in sort order —
         every live node fills one of those roles, so the walk names
         all IDs)."""
-        _id = self._id
         canon: Dict[int, int] = {}
         name = canon.setdefault
         loc_part_l = []
@@ -266,16 +257,16 @@ class CausalObserver:
                 if self.self_check:
                     loc_data_l.append(None)
             else:
-                loc_part_l.append(name(_id[h], len(canon)))
+                loc_part_l.append(name(h, len(canon)))
                 if self.self_check:
                     op = self._op[h]
                     loc_data_l.append((op.block, op.value))
         last_part = tuple(
-            (k, name(_id[h], len(canon))) for k, h in sorted(self._last.items())
+            (k, name(h, len(canon))) for k, h in sorted(self._last.items())
         )
-        if len(canon) != len(_id):  # pragma: no cover - safety net
-            for h in sorted(_id):
-                name(_id[h], len(canon))
+        if len(canon) != len(self._op):  # pragma: no cover - safety net
+            for h in sorted(self._op):
+                name(h, len(canon))
         self._key_cache = (
             self.violation,
             tuple(loc_data_l),

@@ -206,6 +206,22 @@ class Telemetry:
         reg.gauge("por.deferred", selector.counters.deferred)
         reg.gauge("por.fallbacks", selector.counters.fallbacks)
 
+    def record_checker(self, component) -> None:
+        """Publish the fast-mode checker automaton's counters as
+        ``checker.*`` gauges (see
+        :class:`~repro.engine.component.CheckerComponent`):
+        ``checker.states`` counts the interned checker states and
+        ``checker.misses`` the transition-table misses, the steps that
+        ran the cycle checker's ``feed``.  Both depend on which concrete
+        representative of each product state the search keeps, so
+        they are not part of the deterministic gauge contract.
+        """
+        reg = self.registry
+        if reg is None:
+            return
+        reg.gauge("checker.states", component.states)
+        reg.gauge("checker.misses", component.misses)
+
     def record_store(self, stats) -> None:
         """Publish a run's state-store capacity counters as ``store.*``
         gauges (see :mod:`repro.engine.intern`); ``stats`` is the

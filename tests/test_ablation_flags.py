@@ -52,3 +52,13 @@ def test_store_buffer_violation_found_without_eager_free():
         max_states=100_000,
     ).run()
     assert not res.ok and res.counterexample is not None
+
+
+def test_eager_free_off_state_count_is_pinned():
+    # without free-ID symbols the cycle checker keeps IDs the canonical
+    # renaming does not cover, so two of its ID-sets can rename alike and
+    # its key falls back on token age; interning checker states there
+    # would merge differently (575 states instead of 555)
+    res = ProductSearch(SerialMemory(p=2, b=1, v=1), mode="fast", eager_free=False).run()
+    assert res.ok
+    assert (res.stats.states, res.stats.transitions) == (555, 2220)

@@ -9,6 +9,8 @@ interned-state counters that survive budget stops).
 
 import pytest
 
+from repro.core.cycle_checker import CycleChecker, CycleState
+from repro.core.descriptor import AddIdSym, EdgeSym, FreeIdSym, NodeSym
 from repro.core.observer import Observer
 from repro.engine import (
     BFSFrontier,
@@ -28,9 +30,11 @@ from repro.memory import (
     MSIProtocol,
     SerialMemory,
     StoreBufferProtocol,
+    build_protocol,
     store_buffer_st_order,
 )
 from repro.modelcheck.explorer import explore
+from repro.modelcheck.product import ProductSearch
 
 
 # -------------------------------------------------------------- StateStore
@@ -137,6 +141,90 @@ def test_checker_component_shares_state_on_empty_batch():
     same, emitted = comp.step(chk, ())
     assert same is chk and emitted == ()
     assert chk.accepts_so_far and chk.accepts_at_end()
+
+
+def test_checker_component_memoizes_interned_transitions():
+    comp = CheckerComponent(full=False)
+    root = comp.initial()
+    assert isinstance(root, CycleState)
+    batch = (NodeSym(1, "a"), NodeSym(2, "b"), EdgeSym(1, 2, "po"))
+    one, _ = comp.step(root, batch)
+    assert isinstance(one, CycleState)
+    assert (comp.states, comp.misses) == (2, 1)
+    # labels are not part of the projection: a relabelled batch hits
+    again, _ = comp.step(root, (NodeSym(1), NodeSym(2), EdgeSym(1, 2)))
+    assert again is one
+    assert (comp.states, comp.misses) == (2, 1)
+    # a different step that lands on a known key reuses its state
+    back, _ = comp.step(one, (FreeIdSym(1), FreeIdSym(2)))
+    assert back is root
+    assert (comp.states, comp.misses) == (2, 2)
+
+
+def test_checker_component_rejected_step_is_fresh_and_uninterned():
+    comp = CheckerComponent(full=False)
+    one, _ = comp.step(comp.initial(), (NodeSym(1), NodeSym(2), EdgeSym(1, 2)))
+    closing = (EdgeSym(2, 1),)
+    bad, _ = comp.step(one, closing)
+    bad_again, _ = comp.step(one, closing)
+    assert type(bad) is CycleChecker and type(bad_again) is CycleChecker
+    assert bad is not bad_again  # never memoized
+    assert not bad.accepts_so_far and not bad.accepts_at_end()
+    assert bad.violations() == ["constraint-graph cycle"]
+    assert bad.state_key() == ("REJECTED",)
+    assert comp.states == 2 and comp.misses == 3
+    # a rejected checker steps by fork and feed, and stays rejected
+    later, _ = comp.step(bad, (NodeSym(3),))
+    assert later is not bad and not later.accepts_so_far
+
+
+def test_interned_checker_state_cannot_be_mutated_in_place():
+    comp = CheckerComponent(full=False)
+    state, _ = comp.step(comp.initial(), (NodeSym(1), NodeSym(2), EdgeSym(1, 2)))
+    key = state.state_key()
+    assert isinstance(key, tuple) and state.key is key
+    with pytest.raises(AttributeError):
+        state.key = ()
+    with pytest.raises(AttributeError):
+        state.rejected = True
+    with pytest.raises(AttributeError):
+        state.feed(EdgeSym(2, 1))
+    # decoding hands out a mutable checker in the same state; feeding
+    # it leaves the interned state as it was
+    chk = CycleChecker.from_key(key)
+    assert chk.state_key() == key
+    assert not chk.feed(EdgeSym(2, 1))
+    assert state.state_key() == key and state.accepts_so_far
+    with pytest.raises(ValueError):
+        CycleState(("REJECTED",))
+
+
+def test_cycle_checker_from_key_round_trips_and_behaves_alike():
+    syms = [NodeSym(1), NodeSym(2), NodeSym(3), EdgeSym(1, 2), EdgeSym(3, 2),
+            AddIdSym(2, 4), FreeIdSym(2)]
+    chk = CycleChecker()
+    chk.feed_all(syms)
+    decoded = CycleChecker.from_key(chk.state_key())
+    assert decoded.state_key() == chk.state_key()
+    rename = {1: 2, 3: 0, 4: 1}
+    assert decoded.state_key(rename) == chk.state_key(rename)
+    assert CycleState(chk.state_key()).state_key(rename) == chk.state_key(rename)
+    for more in ([EdgeSym(4, 1)], [EdgeSym(4, 3)], [FreeIdSym(4), EdgeSym(3, 1)]):
+        a, b = chk.fork(), decoded.fork()
+        assert a.feed_all(more) == b.feed_all(more)
+        assert a.state_key() == b.state_key()
+    assert not CycleChecker.from_key(("REJECTED",)).accepts
+
+
+def test_fast_lazy_caching_unreduced_state_count_is_pinned():
+    # the interned checker must not merge or split product states:
+    # lazy caching p2b1v2 under its write-order generator, unreduced
+    proto, gen = build_protocol("lazy", 2, 1, 2)
+    search = ProductSearch(proto, gen, mode="fast", stop_on_violation=False)
+    result = search.run()
+    assert result.ok
+    assert (result.stats.states, result.stats.transitions) == (2748, 10040)
+    assert 0 < search.system.checker_comp.states <= search.system.checker_comp.misses + 1
 
 
 # ---------------------------------------------------------- search engine

@@ -262,6 +262,21 @@ def test_degrade_starved_still_catches_buggy_protocol():
     assert res.confidence in ("refuted", "litmus", "fuzz")
 
 
+def test_degrade_spent_budget_still_runs_the_cheap_rungs():
+    # a zero wall budget is spent before any rung begins, as a loaded
+    # machine can make a small one: the litmus and fuzz rungs still run
+    # once each, and the first litmus program catches the buggy protocol
+    res = degrade(
+        BuggyMSIProtocol(p=2, b=2, v=2), budget=Budget(wall_s=0), seed=3
+    )
+    assert not res.sequentially_consistent
+    assert res.counterexample is not None
+    assert res.confidence == "litmus"
+    res = degrade(MSIProtocol(p=2, b=1, v=1), budget=Budget(wall_s=0), seed=3)
+    assert res.sequentially_consistent and not res.complete
+    assert res.confidence.endswith("+litmus(1)+fuzz(1)")
+
+
 # ------------------------------------- checkpoint integrity + .bak fallback
 
 

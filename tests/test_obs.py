@@ -12,7 +12,7 @@ import io
 
 import pytest
 
-from repro.memory import MSIProtocol
+from repro.memory import MSIProtocol, SerialMemory
 from repro.modelcheck.product import ProductSearch
 from repro.obs import (
     MetricsRegistry,
@@ -163,6 +163,27 @@ def test_tracing_does_not_change_the_verdict_or_counts():
     assert traced.stats.quiescent_states == plain.stats.quiescent_states
     # the search always lands in the registry
     assert t.registry.snapshot().gauges["search.states"] == plain.stats.states
+
+
+def test_checker_gauges_published_in_fast_mode_only():
+    from repro.difftest import DETERMINISTIC_GAUGES
+
+    def gauges(mode):
+        search = ProductSearch(SerialMemory(p=1, b=1, v=1), mode=mode)
+        t = Telemetry(registry=MetricsRegistry())
+        search.run(None, t)
+        return search, t.registry.snapshot().gauges
+
+    fast, g = gauges("fast")
+    comp = fast.system.checker_comp
+    assert g["checker.states"] == comp.states > 0
+    assert g["checker.misses"] == comp.misses >= comp.states - 1
+    # full mode keeps fork and feed: nothing interned, nothing published
+    _full, g = gauges("full")
+    assert "checker.states" not in g and "checker.misses" not in g
+    # both figures move with the kept representative, so they stay out
+    # of the cross-configuration contract
+    assert not {"checker.states", "checker.misses"} & set(DETERMINISTIC_GAUGES)
 
 
 # ------------------------------------------------- budget burn: both axes

@@ -31,7 +31,7 @@ from .conftest import dag_strategy, digraph_strategy, ops_strategy
 # ----------------------------------------------------------------------
 # 1. Lemma 3.1 as an equivalence between independent implementations
 # ----------------------------------------------------------------------
-@settings(max_examples=80)
+@settings(max_examples=80, deadline=None)
 @given(ops_strategy)
 def test_sc_iff_some_constraint_graph_acyclic(trace):
     interleaving_sc = check_trace_bruteforce(trace)
