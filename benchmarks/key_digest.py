@@ -13,16 +13,19 @@ in intern order.  Run it against two checkouts and diff the output:
    $ PYTHONPATH=src python benchmarks/key_digest.py
    $ PYTHONPATH=src python benchmarks/key_digest.py mesi:3:1:1:full
 
-A configuration is ``protocol:p:b:v:reduce[:por[:max_states]]``; an
-empty ``p``, ``b`` or ``v`` takes the protocol's default size, ``por``
-is ``off`` unless given, and ``max_states`` caps the search (the BFS
-order is deterministic, so a capped run digests the same first keys on
-every build).  The default set covers every registry protocol that
-declares a symmetry spec at every ``--reduce`` level, plus three
-unreduced searches (``--reduce off``: MESI, lazy caching and buggy
-MSI), whose keys are the composed keys with no orbit minimum taken;
-two-block configurations, whose exhaustive searches run for many
-minutes, are capped.
+A configuration is ``protocol:p:b:v:reduce[:por[:max_states[:model]]]``;
+an empty ``p``, ``b`` or ``v`` takes the protocol's default size,
+``por`` is ``off`` unless given, ``max_states`` (empty: no cap) caps
+the search (the BFS order is deterministic, so a capped run digests
+the same first keys on every build) and ``model`` is the consistency
+model (``--model``; ``sc`` unless given).  The default set covers
+every registry protocol that declares a symmetry spec at every
+``--reduce`` level, plus three unreduced SC searches (``--reduce off``:
+MESI, lazy caching and buggy MSI), whose keys are the composed keys
+with no orbit minimum taken, and three unreduced causal searches
+(MSI, the store buffer and lazy caching), whose keys come from the
+causal observer; two-block SC configurations, whose exhaustive
+searches run for many minutes, are capped.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ def default_configs():
     out += [name + level + ":off:20000" for name in TWO_BLOCK for level in REDUCE_LEVELS[2:]]
     out += ["lazy:2:1:2:full", "lazy:2:1:2:full:on"]
     out += ["mesi:2:1:2:off", "lazy:2:1:2:off", "buggy-msi:2:1:1:off"]
+    out += [
+        "msi:2:1:2:off:off::causal",
+        "storebuffer::::off:off::causal",
+        "lazy:2:1:2:off:off::causal",
+    ]
     return out
 
 
@@ -56,10 +64,11 @@ def digest(config: str) -> str:
     parts = config.split(":")
     name, p, b, v, reduce = parts[:5]
     por = parts[5] if len(parts) > 5 else "off"
+    model = parts[7] if len(parts) > 7 else "sc"
     num = lambda s: int(s) if s else None  # noqa: E731
     protocol, gen = build_protocol(name, num(p), num(b), num(v))
     search = ProductSearch(
-        protocol, gen, mode="fast", reduce=reduce, por=por,
+        protocol, gen, mode="fast", reduce=reduce, por=por, model=model,
         stop_on_violation=False, max_states=num(parts[6]) if len(parts) > 6 else None,
     )
     t0 = time.perf_counter()
@@ -73,7 +82,8 @@ def digest(config: str) -> str:
     red = search.system.reduction
     fallbacks = getattr(red.counters, "fallbacks", "-") if red is not None else "-"
     return (
-        f"{protocol.describe()} reduce={reduce} por={por} "
+        f"{protocol.describe()}{'' if model == 'sc' else ' model=' + model} "
+        f"reduce={reduce} por={por} "
         f"verdict={result.verdict} states={result.stats.states} "
         f"transitions={result.stats.transitions} fallbacks={fallbacks} "
         f"sha256={h.hexdigest()} ({secs:.2f} s)"
@@ -82,7 +92,7 @@ def digest(config: str) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("configs", nargs="*", help="protocol:p:b:v:reduce[:por[:max_states]]")
+    ap.add_argument("configs", nargs="*", help="protocol:p:b:v:reduce[:por[:max_states[:model]]]")
     args = ap.parse_args(argv)
     for config in args.configs or default_configs():
         if config.split(":")[0] not in PROTOCOLS or len(config.split(":")) < 5:

@@ -24,6 +24,11 @@ keeps the set of live nodes bounded by roughly ``L + p·b`` (Section
 mark of IDs in use is recorded so benchmarks can compare the measured
 bandwidth against the paper's bound.
 
+That machinery — the ID pool, the location map, the LD self-check and
+the canonical snapshot — is model independent and lives in
+:class:`WitnessObserver`; :class:`Observer` adds the SC edge rules, and
+the causal observer (:mod:`repro.models.causal`) its own.
+
 The protocol is **in the class Γ** (Definition 4.1) with respect to
 its tracking labels and the chosen generator iff the checker accepts
 every emitted stream — which is exactly what
@@ -33,7 +38,7 @@ every emitted stream — which is exactly what
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from .constraint_graph import EdgeKind
 from .descriptor import EdgeSym, FreeIdSym, NodeSym, Symbol
@@ -41,67 +46,55 @@ from .operations import BOTTOM, InternalAction, Load, Operation, Store
 from .protocol import FRESH, Protocol, Transition
 from .storder import RealTimeSTOrder, Serialized, STOrderGenerator
 
-__all__ = ["Observer"]
+__all__ = ["Observer", "WitnessObserver"]
 
 Handle = int  # a node's descriptor ID
 
 
-class Observer:
-    """Witness-graph emitter for one protocol execution.
+class WitnessObserver:
+    """The Section 4.1 machinery every witness observer runs on.
 
-    Drive it with :meth:`on_transition` for every step of a run (trace
-    operations *and* internal actions); collect the returned descriptor
-    symbols.  :meth:`fork` produces an independent copy for branching
-    exploration.
+    A subclass defines one consistency model's witness graph: its edge
+    rules (``on_transition``), the nodes a future edge can still touch
+    (``_roots``), its extra state (``fork``) and its key (``_walk``).
+    What it inherits is model independent: descriptor IDs from a
+    lowest-free pool, the location map that tracking labels update,
+    the LD self-check, garbage collection over the roots and the
+    memoized canonical snapshot.
+
+    Drive an observer with :meth:`on_transition` for every step of a
+    run (trace operations *and* internal actions); collect the
+    returned descriptor symbols.  :meth:`fork` produces an independent
+    copy for branching exploration.
     """
 
     __slots__ = (
         "protocol",
-        "gen",
         "self_check",
         "eager_free",
-        "unpin_heads",
         "violation",
         "_op",
         "_free_ids",
         "_ids_allocated",
         "_loc",
         "_loc_keys",
-        "_last_of_proc",
-        "_tail_of_block",
-        "_head_of_block",
-        "_succ",
-        "_pending_load",
-        "_pending_bottom",
-        "_bottom_dead",
         "max_live",
         "_canon_cache",
         "_key_cache",
     )
 
-    def __init__(
-        self,
-        protocol: Protocol,
-        st_order: Optional[STOrderGenerator] = None,
-        *,
-        self_check: bool = False,
-        eager_free: bool = True,
-        unpin_heads: bool = True,
-    ):
+    def __init__(self, protocol: Protocol, *, self_check: bool, eager_free: bool):
         self.protocol = protocol
-        self.gen: STOrderGenerator = st_order if st_order is not None else RealTimeSTOrder()
         #: with self_check on, the observer validates the tracking
         #: labels inline (LD value/block must match the ST whose value
         #: the read location holds) and records the first mismatch in
         #: :attr:`violation` — the "fast" verification mode relies on
         #: this plus the cycle checker alone
         self.self_check = self_check
-        #: ablation switches (see benchmarks/bench_ablation.py):
-        #: emit free-ID symbols the moment a node retires, and unpin
-        #: block heads once the protocol rules out further ⊥-loads —
-        #: both sound to disable, at a joint-state-count cost
+        #: ablation switch (see benchmarks/bench_ablation.py): emit
+        #: free-ID symbols the moment a node retires — sound to
+        #: disable, at a joint-state-count cost
         self.eager_free = eager_free
-        self.unpin_heads = unpin_heads
         self.violation: Optional[str] = None
 
         # live nodes, keyed by handle = descriptor ID.  Freeing a node
@@ -116,14 +109,6 @@ class Observer:
         # sorted location indices, cached (the key set is fixed at
         # construction; _loc_order re-sorts if that ever changes)
         self._loc_keys: Tuple[int, ...] = tuple(range(1, L + 1))
-        self._last_of_proc: Dict[int, Handle] = {}
-        self._tail_of_block: Dict[int, Handle] = {}
-        self._head_of_block: Dict[int, Handle] = {}
-        self._succ: Dict[Handle, Handle] = {}  # STo successor
-        self._pending_load: Dict[Tuple[int, Handle], Handle] = {}
-        self._pending_bottom: Dict[Tuple[int, int], Handle] = {}
-        # blocks whose protocol declared ⊥-loads impossible from now on
-        self._bottom_dead: set = set()
 
         #: high-water mark of simultaneously live nodes (measured
         #: bandwidth; compare with bounds.bandwidth_bound)
@@ -133,6 +118,13 @@ class Observer:
         # in one fused walk, invalidated on mutation (on_transition)
         self._canon_cache: Optional[Dict[int, int]] = None
         self._key_cache: Optional[Tuple] = None
+
+    def on_transition(self, transition: Transition) -> List[Symbol]:
+        """Process one protocol step; returns the symbols it emits."""
+        raise NotImplementedError
+
+    def fork(self) -> "WitnessObserver":
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # ID pool
@@ -148,14 +140,6 @@ class Observer:
         heapq.heappush(self._free_ids, h)
         if self.eager_free:
             out.append(FreeIdSym(h))
-        self._succ.pop(h, None)
-        for block in [b for b, x in self._head_of_block.items() if x == h]:
-            del self._head_of_block[block]
-        # a freed node can no longer be a forced-edge target; any ST
-        # still pointing at it is no longer inh-active (else h would
-        # have been a root), so the successor record is moot
-        for u in [u for u, s in self._succ.items() if s == h]:
-            del self._succ[u]
 
     @property
     def ids_in_use(self) -> int:
@@ -184,10 +168,211 @@ class Observer:
         edges[key] = edges.get(key, EdgeKind.NONE) | kind
 
     # ------------------------------------------------------------------
+    # tracking labels
+    # ------------------------------------------------------------------
+    def _copy_locations(self, copies: Mapping[int, int]) -> None:
+        """Apply a step's tracking-label copies (destination location
+        -> source location, or ``FRESH``).  Every copy reads the map as
+        it stood before the copies; for a ST that is after the store's
+        own write (write-through fan-out)."""
+        loc = self._loc
+        snapshot = dict(loc)
+        for dst, src_l in copies.items():
+            loc[dst] = None if src_l == FRESH else snapshot[src_l]
+
+    def _check_load(self, action: Load, l: int, src: Optional[Handle]) -> None:
+        """The LD self-check: ``action`` read location ``l``, which
+        holds the value of node ``src`` (``None``: no ST's value, ⊥).
+        Records the mismatch, if any, in :attr:`violation`."""
+        if src is None:
+            if action.value != BOTTOM:
+                self.violation = (
+                    f"{action!r} returns a value, but location {l} "
+                    f"holds no ST's value (⊥)"
+                )
+        else:
+            sop = self._op[src]
+            if sop.block != action.block or sop.value != action.value:
+                self.violation = (
+                    f"{action!r} reads location {l}, which holds the "
+                    f"value of {sop!r}"
+                )
+            elif action.value == BOTTOM:
+                self.violation = f"{action!r} is a ⊥-load of a tracked ST value"
+
+    # ------------------------------------------------------------------
+    # liveness
+    # ------------------------------------------------------------------
+    def _roots(self) -> Set[Handle]:
+        """The live nodes a future edge can still touch."""
+        raise NotImplementedError
+
+    def _collect_garbage(self, out: List[Symbol]) -> None:
+        roots = self._roots()
+        _op = self._op
+        if len(roots) >= len(_op):
+            return  # every live node fills a role: nothing to retire
+        for h in [h for h in _op if h not in roots]:
+            self._free_handle(h, out)
+
+    # ------------------------------------------------------------------
+    # forking and canonical state
+    # ------------------------------------------------------------------
+    def _fork_into(self, other: "WitnessObserver") -> "WitnessObserver":
+        """Copy the common state into ``other``, a bare
+        ``__new__`` instance of this observer's class; returns it."""
+        other.protocol = self.protocol
+        other.self_check = self.self_check
+        other.eager_free = self.eager_free
+        other.violation = self.violation
+        other._op = dict(self._op)
+        other._free_ids = list(self._free_ids)
+        other._ids_allocated = self._ids_allocated
+        other._loc = dict(self._loc)
+        other._loc_keys = self._loc_keys
+        other.max_live = self.max_live
+        # the cached snapshot is a value, valid until the copy mutates
+        other._canon_cache = self._canon_cache
+        other._key_cache = self._key_cache
+        return other
+
+    def _loc_order(self) -> Tuple[int, ...]:
+        keys = self._loc_keys
+        if len(keys) != len(self._loc):
+            keys = self._loc_keys = tuple(sorted(self._loc))
+        return keys
+
+    def _name_locations(self, canon: Dict[int, int], perm) -> Tuple[Tuple, Tuple]:
+        """The key's first slots: name each location's node into
+        ``canon``, in location order, and return ``(loc_data,
+        loc_part)``.  ``loc_data`` holds the (block, value) each
+        location's ST wrote, in self-check mode only (see
+        :meth:`canonical_snapshot`); ``perm`` maps both as
+        :meth:`_walk` does."""
+        name = canon.setdefault
+        _loc = self._loc
+        if perm is None:
+            handles = [_loc[l] for l in self._loc_order()]
+        else:
+            # location l' of the permuted run is concrete slot loc_inv[l'-1]
+            loc_inv = perm.loc_inv
+            handles = [_loc[loc_inv[l - 1]] for l in self._loc_order()]
+        if not self.self_check:
+            return (), tuple(None if h is None else name(h, len(canon)) for h in handles)
+        _op = self._op
+        data = []
+        part = []
+        for h in handles:
+            if h is None:
+                data.append(None)
+                part.append(None)
+            else:
+                op = _op[h]
+                data.append(
+                    (op.block, op.value)
+                    if perm is None
+                    else (perm.block[op.block - 1], perm.vmap[op.value])
+                )
+                part.append(name(h, len(canon)))
+        return tuple(data), tuple(part)
+
+    def _walk(self, perm) -> Tuple[Dict[int, int], Tuple]:
+        """The canonical renaming and the state key, in one walk (see
+        :meth:`canonical_snapshot`)."""
+        raise NotImplementedError
+
+    def canonical_snapshot(self, perm=None) -> Tuple[Dict[int, int], Tuple]:
+        """``(renaming, key)`` from :meth:`_walk`: a deterministic
+        renaming ``descriptor ID -> 0..n-1`` and the canonical hashable
+        state under it.
+
+        Two joint exploration states that agree up to a permutation of
+        descriptor IDs behave identically up to that permutation, so
+        the model checker keys states under this renaming (the checker's
+        key is renamed through it too).  The walk visits the observer's
+        role slots in a fixed order (the location map first, then the
+        model's own slots: last nodes, block tails/heads, generator
+        FIFOs, pending obligations); every live node fills at least one
+        role (that is what keeps it alive), so it covers all IDs.
+
+        Operation labels are deliberately *not* part of the key: the
+        observer never reads them back, so states differing only in
+        dead history merge.  The exception is self-check mode, whose
+        future behaviour depends on the (block, value) each location's
+        ST wrote — those are included then.
+
+        The identity (``perm`` omitted, or ``perm.is_identity``) is
+        memoized until the next mutation; the returned dict is the
+        cache — treat it as read-only.  Other group elements are walked
+        per call: the reduction's two-stage minimization already asks
+        for each at most once per state.
+        """
+        if perm is not None and not perm.is_identity:
+            return self._walk(perm)
+        if self._key_cache is None:
+            self._canon_cache, self._key_cache = self._walk(None)
+        return self._canon_cache, self._key_cache
+
+    def state_key(self) -> Tuple:
+        """The memoized canonical key (:meth:`canonical_snapshot`)."""
+        return self.canonical_snapshot()[1]
+
+
+class Observer(WitnessObserver):
+    """Witness-graph emitter of Theorem 4.1 for one protocol execution
+    (sequential consistency)."""
+
+    __slots__ = (
+        "gen",
+        "unpin_heads",
+        "_last_of_proc",
+        "_tail_of_block",
+        "_head_of_block",
+        "_succ",
+        "_pending_load",
+        "_pending_bottom",
+        "_bottom_dead",
+    )
+
+    def __init__(
+        self,
+        protocol: Protocol,
+        st_order: Optional[STOrderGenerator] = None,
+        *,
+        self_check: bool = False,
+        eager_free: bool = True,
+        unpin_heads: bool = True,
+    ):
+        super().__init__(protocol, self_check=self_check, eager_free=eager_free)
+        self.gen: STOrderGenerator = st_order if st_order is not None else RealTimeSTOrder()
+        #: ablation switch: unpin block heads once the protocol rules
+        #: out further ⊥-loads — sound to disable, at a joint-state-count
+        #: cost
+        self.unpin_heads = unpin_heads
+        self._last_of_proc: Dict[int, Handle] = {}
+        self._tail_of_block: Dict[int, Handle] = {}
+        self._head_of_block: Dict[int, Handle] = {}
+        self._succ: Dict[Handle, Handle] = {}  # STo successor
+        self._pending_load: Dict[Tuple[int, Handle], Handle] = {}
+        self._pending_bottom: Dict[Tuple[int, int], Handle] = {}
+        # blocks whose protocol declared ⊥-loads impossible from now on
+        self._bottom_dead: set = set()
+
+    def _free_handle(self, h: Handle, out: List[Symbol]) -> None:
+        WitnessObserver._free_handle(self, h, out)
+        self._succ.pop(h, None)
+        for block in [b for b, x in self._head_of_block.items() if x == h]:
+            del self._head_of_block[block]
+        # a freed node can no longer be a forced-edge target; any ST
+        # still pointing at it is no longer inh-active (else h would
+        # have been a root), so the successor record is moot
+        for u in [u for u, s in self._succ.items() if s == h]:
+            del self._succ[u]
+
+    # ------------------------------------------------------------------
     # the main step
     # ------------------------------------------------------------------
     def on_transition(self, transition: Transition) -> List[Symbol]:
-        """Process one protocol step; returns the symbols it emits."""
         self._canon_cache = None
         self._key_cache = None
         out: List[Symbol] = []
@@ -203,11 +388,7 @@ class Observer:
                 raise ValueError(f"ST transition without a location label: {action!r}")
             self._loc[l] = h
             if tracking.copies:
-                # write-through fan-out: copies apply after the store's
-                # own write (post-store snapshot)
-                snapshot = dict(self._loc)
-                for dst, src_l in tracking.copies.items():
-                    self._loc[dst] = None if src_l == FRESH else snapshot[src_l]
+                self._copy_locations(tracking.copies)
             for ev in self.gen.on_store(h, action):
                 self._serialize(ev, edges)
         elif isinstance(action, Load):
@@ -218,21 +399,7 @@ class Observer:
                 raise ValueError(f"LD transition without a location label: {action!r}")
             src = self._loc[l]
             if self.self_check and self.violation is None:
-                if src is None:
-                    if action.value != BOTTOM:
-                        self.violation = (
-                            f"{action!r} returns a value, but location {l} "
-                            f"holds no ST's value (⊥)"
-                        )
-                else:
-                    sop = self._op[src]
-                    if sop.block != action.block or sop.value != action.value:
-                        self.violation = (
-                            f"{action!r} reads location {l}, which holds the "
-                            f"value of {sop!r}"
-                        )
-                    elif action.value == BOTTOM:
-                        self.violation = f"{action!r} is a ⊥-load of a tracked ST value"
+                self._check_load(action, l, src)
             if src is not None:
                 self._edge(src, h, EdgeKind.INH, edges)
                 succ = self._succ.get(src)
@@ -255,9 +422,7 @@ class Observer:
         else:
             assert isinstance(action, InternalAction)
             if tracking.copies:
-                snapshot = dict(self._loc)
-                for l, src_l in tracking.copies.items():
-                    self._loc[l] = None if src_l == FRESH else snapshot[src_l]
+                self._copy_locations(tracking.copies)
             for ev in self.gen.on_internal(action):
                 self._serialize(ev, edges)
 
@@ -329,25 +494,12 @@ class Observer:
         roots.update(self._pending_bottom.values())
         return roots
 
-    def _collect_garbage(self, out: List[Symbol]) -> None:
-        roots = self._roots()
-        _op = self._op
-        if len(roots) >= len(_op):
-            return  # every live node fills a role: nothing to retire
-        for h in [h for h in _op if h not in roots]:
-            self._free_handle(h, out)
-
     # ------------------------------------------------------------------
     # forking and canonical state
     # ------------------------------------------------------------------
     def fork(self) -> "Observer":
-        other = Observer.__new__(Observer)
-        other.protocol = self.protocol
+        other = self._fork_into(Observer.__new__(Observer))
         other.gen = self.gen.copy()
-        other._op = dict(self._op)
-        other._free_ids = list(self._free_ids)
-        other._ids_allocated = self._ids_allocated
-        other._loc = dict(self._loc)
         other._last_of_proc = dict(self._last_of_proc)
         other._tail_of_block = dict(self._tail_of_block)
         other._head_of_block = dict(self._head_of_block)
@@ -355,22 +507,8 @@ class Observer:
         other._pending_load = dict(self._pending_load)
         other._pending_bottom = dict(self._pending_bottom)
         other._bottom_dead = set(self._bottom_dead)
-        other._loc_keys = self._loc_keys
-        other.eager_free = self.eager_free
         other.unpin_heads = self.unpin_heads
-        other.max_live = self.max_live
-        other.self_check = self.self_check
-        other.violation = self.violation
-        # the cached snapshot is a value, valid until the copy mutates
-        other._canon_cache = self._canon_cache
-        other._key_cache = self._key_cache
         return other
-
-    def _loc_order(self) -> Tuple[int, ...]:
-        keys = self._loc_keys
-        if len(keys) != len(self._loc):
-            keys = self._loc_keys = tuple(sorted(self._loc))
-        return keys
 
     def _walk(self, perm) -> Tuple[Dict[int, int], Tuple]:
         """The canonical renaming *and* the state key, in one walk.
@@ -404,9 +542,7 @@ class Observer:
         # ≤ 1 skip their sort outright — at small (p, b) that is most
         # of them on most steps.
         name = canon.setdefault
-        _loc = self._loc
         if perm is None:
-            loc_handles = [_loc[l] for l in self._loc_order()]
             procs = self._last_of_proc.items()
             tails = self._tail_of_block.items()
             heads = self._head_of_block.items()
@@ -414,9 +550,7 @@ class Observer:
             pbots = self._pending_bottom.items()
             dead = self._bottom_dead
         else:
-            pp, pb, vmap, loc_inv = perm.proc, perm.block, perm.vmap, perm.loc_inv
-            # location l' of the permuted run is concrete slot loc_inv[l'-1]
-            loc_handles = [_loc[loc_inv[l - 1]] for l in self._loc_order()]
+            pp, pb = perm.proc, perm.block
             procs = [(pp[p - 1], h) for p, h in self._last_of_proc.items()]
             tails = [(pb[b - 1], h) for b, h in self._tail_of_block.items()]
             heads = [(pb[b - 1], h) for b, h in self._head_of_block.items()]
@@ -427,30 +561,7 @@ class Observer:
             ]
             dead = [pb[b - 1] for b in self._bottom_dead]
 
-        if self.self_check:
-            _op = self._op
-            loc_data_l = []
-            loc_part_l = []
-            for h in loc_handles:
-                if h is None:
-                    loc_data_l.append(None)
-                    loc_part_l.append(None)
-                else:
-                    op = _op[h]
-                    loc_data_l.append(
-                        (op.block, op.value)
-                        if perm is None
-                        else (pb[op.block - 1], vmap[op.value])
-                    )
-                    loc_part_l.append(name(h, len(canon)))
-            loc_data: Tuple = tuple(loc_data_l)
-            loc_part = tuple(loc_part_l)
-        else:
-            loc_data = ()
-            loc_part = tuple(
-                None if h is None else name(h, len(canon))
-                for h in loc_handles
-            )
+        loc_data, loc_part = self._name_locations(canon, perm)
         proc_part = tuple(
             (p, name(h, len(canon)))
             for p, h in (sorted(procs) if len(procs) > 1 else procs)
@@ -532,39 +643,3 @@ class Observer:
             self.gen.state_key(canon.__getitem__, perm),
         )
         return canon, key
-
-    def canonical_snapshot(self, perm=None) -> Tuple[Dict[int, int], Tuple]:
-        """``(renaming, key)`` from :meth:`_walk`: a deterministic
-        renaming ``descriptor ID -> 0..n-1`` and the canonical hashable
-        state under it.
-
-        Two joint exploration states that agree up to a permutation of
-        descriptor IDs behave identically up to that permutation, so
-        the model checker keys states under this renaming (the checker's
-        key is renamed through it too).  The walk visits the observer's
-        role slots in a fixed order (location map, per-processor last
-        nodes, block tails/heads, generator FIFOs, pending obligations);
-        every live node fills at least one role (that is what keeps it
-        alive), so it covers all IDs.
-
-        Operation labels are deliberately *not* part of the key: the
-        observer never reads them back, so states differing only in
-        dead history merge.  The exception is self-check mode, whose
-        future behaviour depends on the (block, value) each location's
-        ST wrote — those are included then.
-
-        The identity (``perm`` omitted, or ``perm.is_identity``) is
-        memoized until the next mutation; the returned dict is the
-        cache — treat it as read-only.  Other group elements are walked
-        per call: the reduction's two-stage minimization already asks
-        for each at most once per state.
-        """
-        if perm is not None and not perm.is_identity:
-            return self._walk(perm)
-        if self._key_cache is None:
-            self._canon_cache, self._key_cache = self._walk(None)
-        return self._canon_cache, self._key_cache
-
-    def state_key(self) -> Tuple:
-        """The memoized canonical key (:meth:`canonical_snapshot`)."""
-        return self.canonical_snapshot()[1]

@@ -95,7 +95,6 @@ DETERMINISTIC_GAUGES = (
     "search.states",
     "search.transitions",
     "search.quiescent",
-    "search.interned",
 )
 
 __all__ = [

@@ -346,7 +346,10 @@ class SearchEngine:
         self._cap_truncated = snap["cap_truncated"]
         self._final = None
         for name, value in snap["stats"].items():
-            setattr(self.stats, name, value)
+            # version-4 records still carry the retired duplicate of
+            # ``states``
+            if name != "interned_states":
+                setattr(self.stats, name, value)
 
     def _admit(self, steps: List[Step], parent: int, depth: int, capped: bool) -> bool:
         """Admit one successor batch of ``parent`` (``NO_PARENT`` for
@@ -384,7 +387,6 @@ class SearchEngine:
                 return True
             store.set_parent(cid, parent, step.action)
             stats.states += 1
-            stats.interned_states += 1
             if on_state is not None:
                 on_state(step.state, depth)
             bad = not step.ok

@@ -5,8 +5,10 @@ pipeline needs to check one memory-consistency condition, behind the
 same three-stage shape the paper uses for sequential consistency:
 
 * **observe-event** — :meth:`~ConsistencyModel.make_observer` builds
-  the streaming observer that shadows a protocol execution and emits
-  constraint-graph descriptor symbols for each transition;
+  the model's :attr:`~ConsistencyModel.observer_cls`, a
+  :class:`~repro.core.observer.WitnessObserver` that shadows a
+  protocol execution and emits constraint-graph descriptor symbols for
+  each transition;
 * **constraint edges** — the emitted symbols describe the model's
   witness graph (which edge families exist is the model's definition:
   SC streams program order, ST order, inheritance and forced edges;
@@ -31,9 +33,11 @@ constraints are SC-specific); the CLI maps it to exit code 2, like
 
 from __future__ import annotations
 
-import abc
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Type
 
+from ..core.checker import Checker
+from ..core.cycle_checker import CycleChecker
+from ..core.observer import WitnessObserver
 from ..core.protocol import Protocol
 from ..core.storder import STOrderGenerator
 
@@ -44,7 +48,7 @@ class ModelError(ValueError):
     """A consistency-model combination the pipeline cannot support."""
 
 
-class ConsistencyModel(abc.ABC):
+class ConsistencyModel:
     """One pluggable consistency condition.
 
     Instances are rebuilt by name (``--model``) on checkpoint resume,
@@ -78,8 +82,11 @@ class ConsistencyModel(abc.ABC):
     #: visibility set has not been derived)
     supports_por: bool = False
 
+    #: the model's witness observer: its edge rules, GC roots and key
+    #: walk on the shared Section 4.1 machinery
+    observer_cls: Type[WitnessObserver]
+
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def make_observer(
         self,
         protocol: Protocol,
@@ -88,20 +95,29 @@ class ConsistencyModel(abc.ABC):
         self_check: bool = False,
         eager_free: bool = True,
         unpin_heads: bool = True,
-    ):
+    ) -> WitnessObserver:
         """The streaming observer for one execution of ``protocol``
-        (observe-event → constraint edges).  Must expose the observer
-        protocol the engine relies on: ``fork``, ``on_transition``,
-        ``violation``, ``canonical_snapshot``, ``state_key``,
-        ``max_live`` and ``max_ids_allocated``."""
+        (observe-event → constraint edges), on its own copy of
+        ``st_order``."""
+        return self.observer_cls(
+            protocol,
+            st_order.copy() if st_order is not None else None,
+            self_check=self_check,
+            eager_free=eager_free,
+            unpin_heads=unpin_heads,
+        )
 
-    @abc.abstractmethod
     def make_checker(self, mode: str):
         """The finite-state checker for ``mode`` (violation
-        predicate).  Must expose ``fork``, ``feed_all``,
-        ``state_key(canon, perm)``, ``accepts_so_far`` (no eager
-        rejection yet), ``accepts_at_end()`` (end-of-string verdict)
-        and ``violations()`` (the reasons, first one reported)."""
+        predicate): the complete annotation :class:`Checker` in full
+        mode, the :class:`CycleChecker` alone in fast mode (the
+        observer's self-check stands in for the rest).  Both expose
+        ``fork``, ``feed_all``, ``state_key(canon, perm)``,
+        ``accepts_so_far`` (no eager rejection yet),
+        ``accepts_at_end()`` (end-of-string verdict) and
+        ``violations()`` (the reasons, first one reported)."""
+        self.check_mode(mode)
+        return Checker() if mode == "full" else CycleChecker()
 
     # ------------------------------------------------------------------
     def wrap_protocol(self, protocol: Protocol) -> Protocol:

@@ -40,21 +40,20 @@ produced), which is exactly what the cycle checker detects.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.constraint_graph import EdgeKind
-from ..core.descriptor import EdgeSym, FreeIdSym, NodeSym, Symbol
-from ..core.operations import BOTTOM, InternalAction, Load, Operation, Store
-from ..core.protocol import FRESH, Protocol, Transition
+from ..core.descriptor import EdgeSym, Symbol
+from ..core.observer import Handle, WitnessObserver
+from ..core.operations import InternalAction, Load, Store
+from ..core.protocol import Protocol, Transition
 from ..core.storder import STOrderGenerator
 from .base import ConsistencyModel
 
 __all__ = ["CausalConsistency", "CausalObserver"]
 
-Handle = int  # a node's descriptor ID
 
-
-class CausalObserver:
+class CausalObserver(WitnessObserver):
     """Streaming witness-graph emitter for the causal condition.
 
     The same driving contract as :class:`~repro.core.observer.Observer`
@@ -64,20 +63,7 @@ class CausalObserver:
     block).
     """
 
-    __slots__ = (
-        "protocol",
-        "self_check",
-        "eager_free",
-        "violation",
-        "_op",
-        "_free_ids",
-        "_ids_allocated",
-        "_loc",
-        "_last",
-        "max_live",
-        "_canon_cache",
-        "_key_cache",
-    )
+    __slots__ = ("_last",)
 
     def __init__(
         self,
@@ -92,46 +78,10 @@ class CausalObserver:
         # uniformity and ignored: causal has no ST total order, hence
         # no generator, no block heads and no forced edges
         del st_order, unpin_heads
-        self.protocol = protocol
-        self.self_check = self_check
-        self.eager_free = eager_free
-        self.violation: Optional[str] = None
-        # live nodes, keyed by handle = descriptor ID (as in the SC
-        # observer)
-        self._op: Dict[Handle, Operation] = {}
-        self._free_ids: List[int] = []
-        self._ids_allocated = 0
-        L = protocol.num_locations
-        self._loc: Dict[int, Optional[Handle]] = {l: None for l in range(1, L + 1)}
+        super().__init__(protocol, self_check=self_check, eager_free=eager_free)
         #: (proc, block) -> last LD/ST node of that processor on that
         #: block (the per-location program-order tail)
         self._last: Dict[Tuple[int, int], Handle] = {}
-        self.max_live = 0
-        self._canon_cache: Optional[Dict[int, int]] = None
-        self._key_cache: Optional[Tuple] = None
-
-    # ------------------------------------------------------------------
-    def _alloc_id(self) -> int:
-        if self._free_ids:
-            import heapq
-
-            return heapq.heappop(self._free_ids)
-        self._ids_allocated += 1
-        return self._ids_allocated
-
-    @property
-    def ids_in_use(self) -> int:
-        return len(self._op)
-
-    @property
-    def max_ids_allocated(self) -> int:
-        return self._ids_allocated
-
-    def _new_node(self, op: Operation, out: List[Symbol]) -> Handle:
-        h = self._alloc_id()
-        self._op[h] = op
-        out.append(NodeSym(h, op))
-        return h
 
     # ------------------------------------------------------------------
     def on_transition(self, transition: Transition) -> List[Symbol]:
@@ -142,15 +92,11 @@ class CausalObserver:
         action = transition.action
         tracking = transition.tracking
 
-        def edge(u: Handle, v: Handle, kind: EdgeKind) -> None:
-            key = (u, v)
-            edges[key] = edges.get(key, EdgeKind.NONE) | kind
-
         if isinstance(action, (Store, Load)):
             h = self._new_node(action, out)
             prev = self._last.get((action.proc, action.block))
             if prev is not None:
-                edge(prev, h, EdgeKind.PO)
+                self._edge(prev, h, EdgeKind.PO, edges)
             self._last[(action.proc, action.block)] = h
             l = tracking.location
             if l is None:
@@ -161,39 +107,19 @@ class CausalObserver:
             if isinstance(action, Store):
                 self._loc[l] = h
                 if tracking.copies:
-                    snapshot = dict(self._loc)
-                    for dst, src_l in tracking.copies.items():
-                        self._loc[dst] = None if src_l == FRESH else snapshot[src_l]
+                    self._copy_locations(tracking.copies)
             else:
                 src = self._loc[l]
                 if self.self_check and self.violation is None:
-                    if src is None:
-                        if action.value != BOTTOM:
-                            self.violation = (
-                                f"{action!r} returns a value, but location "
-                                f"{l} holds no ST's value (⊥)"
-                            )
-                    else:
-                        sop = self._op[src]
-                        if sop.block != action.block or sop.value != action.value:
-                            self.violation = (
-                                f"{action!r} reads location {l}, which holds "
-                                f"the value of {sop!r}"
-                            )
-                        elif action.value == BOTTOM:
-                            self.violation = (
-                                f"{action!r} is a ⊥-load of a tracked ST value"
-                            )
+                    self._check_load(action, l, src)
                 if src is not None:
-                    edge(src, h, EdgeKind.INH)
+                    self._edge(src, h, EdgeKind.INH, edges)
                 # a ⊥-load inherits the initial contents, which precede
                 # everything: no edge, no obligation
         else:
             assert isinstance(action, InternalAction)
             if tracking.copies:
-                snapshot = dict(self._loc)
-                for l, src_l in tracking.copies.items():
-                    self._loc[l] = None if src_l == FRESH else snapshot[src_l]
+                self._copy_locations(tracking.copies)
 
         out.extend(EdgeSym(u, v, kind) for (u, v), kind in edges.items())
         self._collect_garbage(out)
@@ -203,86 +129,41 @@ class CausalObserver:
         return out
 
     # ------------------------------------------------------------------
-    def _collect_garbage(self, out: List[Symbol]) -> None:
-        """Retire nodes that are neither a per-(proc, block) tail nor
-        held by a location: program-order edges only ever leave tails
-        and inheritance edges only ever leave held nodes, so a retired
-        node can gain no future edge."""
+    def _roots(self) -> Set[Handle]:
+        """The per-(proc, block) tails and the nodes locations hold:
+        program-order edges only ever leave tails and inheritance edges
+        only ever leave held nodes, so any other node can gain no
+        future edge and retires."""
         roots = set(self._last.values())
         for h in self._loc.values():
             if h is not None:
                 roots.add(h)
-        _op = self._op
-        if len(roots) >= len(_op):
-            return
-        import heapq
-
-        for h in [h for h in _op if h not in roots]:
-            del _op[h]
-            heapq.heappush(self._free_ids, h)
-            if self.eager_free:
-                out.append(FreeIdSym(h))
+        return roots
 
     # ------------------------------------------------------------------
     def fork(self) -> "CausalObserver":
-        other = CausalObserver.__new__(CausalObserver)
-        other.protocol = self.protocol
-        other.self_check = self.self_check
-        other.eager_free = self.eager_free
-        other.violation = self.violation
-        other._op = dict(self._op)
-        other._free_ids = list(self._free_ids)
-        other._ids_allocated = self._ids_allocated
-        other._loc = dict(self._loc)
+        other = self._fork_into(CausalObserver.__new__(CausalObserver))
         other._last = dict(self._last)
-        other.max_live = self.max_live
-        other._canon_cache = self._canon_cache
-        other._key_cache = self._key_cache
         return other
 
     # ------------------------------------------------------------------
-    def _fused_canonical(self) -> None:
+    def _walk(self, perm) -> Tuple[Dict[int, int], Tuple]:
         """Canonical renaming + state key in one walk (locations in
         index order, then per-(proc, block) tails in sort order —
         every live node fills one of those roles, so the walk names
-        all IDs)."""
+        all IDs).  The model declares no symmetry reduction, so
+        ``perm`` is always ``None``."""
+        assert perm is None, "the causal model takes no symmetry permutation"
         canon: Dict[int, int] = {}
         name = canon.setdefault
-        loc_part_l = []
-        loc_data_l = []
-        for l in sorted(self._loc):
-            h = self._loc[l]
-            if h is None:
-                loc_part_l.append(None)
-                if self.self_check:
-                    loc_data_l.append(None)
-            else:
-                loc_part_l.append(name(h, len(canon)))
-                if self.self_check:
-                    op = self._op[h]
-                    loc_data_l.append((op.block, op.value))
+        loc_data, loc_part = self._name_locations(canon, None)
         last_part = tuple(
             (k, name(h, len(canon))) for k, h in sorted(self._last.items())
         )
         if len(canon) != len(self._op):  # pragma: no cover - safety net
             for h in sorted(self._op):
                 name(h, len(canon))
-        self._key_cache = (
-            self.violation,
-            tuple(loc_data_l),
-            tuple(loc_part_l),
-            last_part,
-        )
-        self._canon_cache = canon
-
-    def canonical_snapshot(self) -> Tuple[Dict[int, int], Tuple]:
-        if self._key_cache is None:
-            self._fused_canonical()
-        assert self._canon_cache is not None and self._key_cache is not None
-        return self._canon_cache, self._key_cache
-
-    def state_key(self) -> Tuple:
-        return self.canonical_snapshot()[1]
+        return canon, (self.violation, loc_data, loc_part, last_part)
 
 
 class CausalConsistency(ConsistencyModel):
@@ -293,26 +174,4 @@ class CausalConsistency(ConsistencyModel):
     modes = ("fast",)
     weaker_than = ("sc",)
     supports_reduction = False
-
-    def make_observer(
-        self,
-        protocol: Protocol,
-        st_order: Optional[STOrderGenerator] = None,
-        *,
-        self_check: bool = False,
-        eager_free: bool = True,
-        unpin_heads: bool = True,
-    ) -> CausalObserver:
-        return CausalObserver(
-            protocol,
-            st_order,
-            self_check=self_check,
-            eager_free=eager_free,
-            unpin_heads=unpin_heads,
-        )
-
-    def make_checker(self, mode: str):
-        self.check_mode(mode)
-        from ..core.cycle_checker import CycleChecker
-
-        return CycleChecker()
+    observer_cls = CausalObserver

@@ -18,13 +18,7 @@ is bit-identical to the pre-refactor engine (see
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core.checker import Checker
-from ..core.cycle_checker import CycleChecker
 from ..core.observer import Observer
-from ..core.protocol import Protocol
-from ..core.storder import STOrderGenerator
 from .base import ConsistencyModel
 
 __all__ = ["SequentialConsistency"]
@@ -40,24 +34,4 @@ class SequentialConsistency(ConsistencyModel):
     weaker_than = ()
     supports_reduction = True
     supports_por = True
-
-    def make_observer(
-        self,
-        protocol: Protocol,
-        st_order: Optional[STOrderGenerator] = None,
-        *,
-        self_check: bool = False,
-        eager_free: bool = True,
-        unpin_heads: bool = True,
-    ) -> Observer:
-        return Observer(
-            protocol,
-            st_order.copy() if st_order is not None else None,
-            self_check=self_check,
-            eager_free=eager_free,
-            unpin_heads=unpin_heads,
-        )
-
-    def make_checker(self, mode: str):
-        self.check_mode(mode)
-        return Checker() if mode == "full" else CycleChecker()
+    observer_cls = Observer

@@ -153,6 +153,34 @@ def load_summary(path: str) -> RunSummary:
 # ----------------------------------------------------------------------
 
 
+#: the note each comparison section of the benchmark record carries
+_SECTION_NOTES = {
+    "reduction": (
+        "symmetry reduction (--reduce) on the acceptance workload: "
+        "identical verdict on the quotient state space. state_gain "
+        "is unreduced/reduced interned states (deterministic); "
+        "speedup is wall-clock and machine-dependent."
+    ),
+    "por": (
+        "partial-order reduction (--por) on representative "
+        "workloads: identical verdict and counterexample on the "
+        "ample-set-pruned state space. state_gain is full/reduced "
+        "explored states (deterministic per config); a gain of "
+        "1.0 means the protocol's independence structure admits "
+        "no deferral at that size (e.g. any single-block snoopy "
+        "instance)."
+    ),
+    "store": (
+        "state-store backends (--store) on the capacity workload: "
+        "verdict and state count asserted bit-identical between "
+        "mem and disk while the disk run's resident budget sits "
+        "far below the closure's footprint. states_per_sec and "
+        "peak_rss_kb are wall-clock/machine figures; "
+        "resident_keys/spilled_keys are reproducible per config."
+    ),
+}
+
+
 def build_record(
     *,
     current: Dict[str, dict],
@@ -170,8 +198,10 @@ def build_record(
     ``{"seconds", "states"}``; ``reduction`` maps workload name to
     the ``--reduce off`` vs reduced-level comparison, ``por`` to the
     ``--por off`` vs ``--por on`` comparison, and ``store`` to the
-    ``--store mem`` vs ``--store disk`` capacity comparison (``None``
-    carries any previous section forward).
+    ``--store mem`` vs ``--store disk`` capacity comparison.  Each of
+    those three sections keeps the ``previous`` record's workloads,
+    with the fresh ones (``None``: none) replacing them by name, so a
+    re-record never drops an entry it did not re-measure.
     """
     record = {
         "benchmark": "E-verify representative verification wall time",
@@ -181,47 +211,11 @@ def build_record(
         "current": {"workloads": current},
         "speedup": {},
     }
-    if reduction is None and previous:
-        reduction = previous.get("reduction", {}).get("workloads")
-    if reduction:
-        record["reduction"] = {
-            "note": (
-                "symmetry reduction (--reduce) on the acceptance workload: "
-                "identical verdict on the quotient state space. state_gain "
-                "is unreduced/reduced interned states (deterministic); "
-                "speedup is wall-clock and machine-dependent."
-            ),
-            "workloads": reduction,
-        }
-    if por is None and previous:
-        por = previous.get("por", {}).get("workloads")
-    if por:
-        record["por"] = {
-            "note": (
-                "partial-order reduction (--por) on representative "
-                "workloads: identical verdict and counterexample on the "
-                "ample-set-pruned state space. state_gain is full/reduced "
-                "explored states (deterministic per config); a gain of "
-                "1.0 means the protocol's independence structure admits "
-                "no deferral at that size (e.g. any single-block snoopy "
-                "instance)."
-            ),
-            "workloads": por,
-        }
-    if store is None and previous:
-        store = previous.get("store", {}).get("workloads")
-    if store:
-        record["store"] = {
-            "note": (
-                "state-store backends (--store) on the capacity workload: "
-                "verdict and state count asserted bit-identical between "
-                "mem and disk while the disk run's resident budget sits "
-                "far below the closure's footprint. states_per_sec and "
-                "peak_rss_kb are wall-clock/machine figures; "
-                "resident_keys/spilled_keys are reproducible per config."
-            ),
-            "workloads": store,
-        }
+    for section, fresh in (("reduction", reduction), ("por", por), ("store", store)):
+        old = (previous or {}).get(section, {}).get("workloads") or {}
+        workloads = {**old, **(fresh or {})}
+        if workloads:
+            record[section] = {"note": _SECTION_NOTES[section], "workloads": workloads}
     for name, cur in current.items():
         base = baseline.get(name)
         if base and base.get("seconds"):

@@ -28,11 +28,6 @@ class ExplorationStats:
     #: whole search — a budget-stopped run that resumes keeps maxing
     #: against the earlier legs' peak, never restarts from zero
     peak_frontier: int = 0
-    #: states admitted to the engine's StateStore (interned, given a
-    #: parent and checked); keys interned past a halt are not counted.
-    #: Like ``peak_frontier`` it survives checkpoint/resume because the
-    #: checkpoint records every counter
-    interned_states: int = 0
     #: why a cooperative ``should_stop`` hook halted the search (None
     #: for cap truncation and for exhaustive runs)
     stop_reason: Optional[str] = None
@@ -47,7 +42,6 @@ class ExplorationStats:
             "max_live_nodes": self.max_live_nodes,
             "max_descriptor_ids": self.max_descriptor_ids,
             "peak_frontier": self.peak_frontier,
-            "interned_states": self.interned_states,
             "stop_reason": self.stop_reason,
         }
 

@@ -157,7 +157,6 @@ class Telemetry:
         reg.gauge("search.states", stats.states)
         reg.gauge("search.transitions", stats.transitions)
         reg.gauge("search.quiescent", stats.quiescent_states)
-        reg.gauge("search.interned", stats.interned_states)
         reg.gauge_max("search.peak_frontier", stats.peak_frontier)
         reg.gauge_max("search.max_depth", stats.max_depth)
 

@@ -241,7 +241,6 @@ def test_protocol_system_matches_legacy_explorer():
     assert out.status == "done"
     assert engine.stats.states == legacy.states
     assert engine.stats.transitions == legacy.transitions
-    assert engine.stats.interned_states == legacy.states
 
 
 def test_all_strategies_exhaust_the_same_state_space():
@@ -301,17 +300,16 @@ def test_stats_counters_are_cumulative_across_resume():
     engine = _product_engine()
     engine.run(Budget(states=40).start().should_stop)
     peak_leg1 = engine.stats.peak_frontier
-    interned_leg1 = engine.stats.interned_states
-    assert peak_leg1 >= 1 and interned_leg1 >= engine.stats.states
+    states_leg1 = engine.stats.states
+    assert peak_leg1 >= 1 and states_leg1 >= 1
     engine.run()
     # the resumed leg maxes/continues the first leg's counters instead
-    # of restarting them (ISSUE satellite: consistent across resumes)
+    # of restarting them
     assert engine.stats.peak_frontier >= peak_leg1
-    assert engine.stats.interned_states >= interned_leg1
-    assert engine.stats.interned_states == engine.stats.states
+    assert engine.stats.states >= states_leg1
     d = engine.stats.as_dict()
     assert d["peak_frontier"] == engine.stats.peak_frontier
-    assert d["interned_states"] == engine.stats.interned_states
+    assert d["states"] == engine.stats.states
 
 
 def test_composed_system_key_is_stable_and_canonical():

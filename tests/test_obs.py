@@ -215,3 +215,29 @@ def test_progress_reporter_shows_states_budget_burn():
     )
     rep.tick(ExplorationStats(states=25), force=True)
     assert "budget=25%" in out.getvalue()
+
+
+# ------------------------------------------------------ benchmark record
+
+
+def test_build_record_keeps_entries_it_did_not_remeasure():
+    from repro.obs.bench import build_record
+
+    hand_added = {"states": 14639, "note": "added by hand"}
+    previous = build_record(
+        current={}, baseline={}, baseline_note="", rounds=1,
+        reduction={"mesi_p3b1v1_native_compare": hand_added,
+                   "msi_p2b1v2": {"state_gain": 1.0}},
+        store={"mesi_p3b1v1": {"states": 86612}},
+    )
+    fresh = {"msi_p2b1v2": {"state_gain": 2.5}}
+    record = build_record(
+        current={}, baseline={}, baseline_note="", rounds=1,
+        previous=previous, reduction=fresh, por={"lazy": {"state_gain": 1.2}},
+    )
+    assert record["reduction"]["workloads"] == {
+        "mesi_p3b1v1_native_compare": hand_added,
+        "msi_p2b1v2": {"state_gain": 2.5},
+    }
+    assert record["store"] == previous["store"]
+    assert record["por"]["workloads"] == {"lazy": {"state_gain": 1.2}}

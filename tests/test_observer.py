@@ -13,11 +13,11 @@ import pytest
 
 from repro.core.checker import Checker
 from repro.core.constraint_graph import ConstraintGraph, EdgeKind
-from repro.core.descriptor import decode
+from repro.core.descriptor import FreeIdSym, NodeSym, decode
 from repro.core.observer import Observer
-from repro.core.operations import LD, ST
+from repro.core.operations import BOTTOM, LD, ST
 from repro.core.bounds import implementation_bandwidth_bound
-from repro.core.protocol import random_run
+from repro.core.protocol import Tracking, Transition, random_run
 from repro.memory import (
     DirectoryProtocol,
     LazyCachingProtocol,
@@ -27,6 +27,7 @@ from repro.memory import (
     lazy_caching_st_order,
     store_buffer_st_order,
 )
+from repro.models.causal import CausalObserver
 
 
 def drive(protocol, run, st_order=None, self_check=False):
@@ -225,3 +226,129 @@ def test_state_key_ignores_dead_history():
         obs, _s, _ = drive(proto, run)
         keys.append(obs.state_key())
     assert keys[0] == keys[1]
+
+
+# ------------------------------------------- the shared witness-observer core
+#
+# Observer (SC) and CausalObserver inherit the ID pool, the location
+# map, the LD self-check and forking from WitnessObserver; each test
+# below drives both on hand-built transitions.
+
+OBSERVERS = pytest.mark.parametrize("cls", [Observer, CausalObserver])
+
+
+def _feed(obs, proto, actions, location=1):
+    """Drive ``obs`` with each action at ``location``; all emitted symbols."""
+    state = proto.initial_state()
+    out = []
+    for action in actions:
+        out.extend(obs.on_transition(Transition(action, state, Tracking(location=location))))
+    return out
+
+
+@OBSERVERS
+@pytest.mark.parametrize(
+    "actions, message",
+    [
+        (
+            [LD(1, 1, 2)],
+            "LD(P1,B1,2) returns a value, but location 1 holds no ST's value (⊥)",
+        ),
+        (
+            [ST(1, 1, 1), LD(1, 1, 2)],
+            "LD(P1,B1,2) reads location 1, which holds the value of ST(P1,B1,1)",
+        ),
+        (
+            # a ⊥ value is never stored by a real protocol; built by hand
+            [ST(1, 1, BOTTOM), LD(1, 1, BOTTOM)],
+            "LD(P1,B1,⊥) is a ⊥-load of a tracked ST value",
+        ),
+    ],
+)
+def test_self_check_messages(cls, actions, message):
+    proto = SerialMemory(p=1, b=1, v=2)
+    obs = cls(proto, self_check=True)
+    # a later mismatch never overwrites the first one
+    _feed(obs, proto, actions + [LD(1, 1, 1)])
+    assert obs.violation == message
+    unchecked = cls(proto)
+    _feed(unchecked, proto, actions)
+    assert unchecked.violation is None
+
+
+@OBSERVERS
+@pytest.mark.parametrize("action, kind", [(ST(1, 1, 1), "ST"), (LD(1, 1, 1), "LD")])
+def test_operation_without_location_label_is_rejected(cls, action, kind):
+    proto = SerialMemory(p=1, b=1, v=1)
+    obs = cls(proto, self_check=True)
+    with pytest.raises(ValueError, match=f"{kind} transition without a location label"):
+        obs.on_transition(Transition(action, proto.initial_state(), Tracking()))
+
+
+#: two processors taking turns on one block, every load reading the
+#: value its location holds
+_TURNS = [
+    ST(1, 1, 1), ST(2, 1, 2), LD(2, 1, 2), ST(1, 1, 1), LD(2, 1, 1),
+    ST(2, 1, 2), LD(1, 1, 2), ST(1, 1, 1), ST(2, 1, 2), LD(1, 1, 2),
+]
+
+
+#: a run (values unchecked) in which both observers allocate while
+#: holding several freed IDs, the first of them freed not the lowest
+_REUSE = [
+    ST(2, 1, 2), ST(2, 1, 1), LD(1, 1, 2), LD(2, 1, 2), ST(1, 1, 2),
+    ST(1, 1, 1), LD(2, 1, 2), LD(1, 1, 1), ST(2, 1, 2), ST(2, 1, 2),
+]
+
+
+@OBSERVERS
+def test_freed_ids_are_reused_lowest_first(cls):
+    proto = SerialMemory(p=2, b=1, v=2)
+    obs = cls(proto)
+    syms = _feed(obs, proto, _REUSE)
+    free, fresh, not_fifo = [], 0, 0  # free: freed IDs in freeing order
+    for sym in syms:
+        if isinstance(sym, FreeIdSym):
+            free.append(sym.id)
+        elif isinstance(sym, NodeSym):
+            if free:
+                not_fifo += free[0] != min(free)
+                assert sym.id == min(free)
+                free.remove(sym.id)
+            else:
+                fresh += 1
+                assert sym.id == fresh
+    assert not_fifo
+    assert obs.max_ids_allocated == fresh < len(_REUSE)
+    assert obs.ids_in_use == fresh - len(free)
+
+
+@OBSERVERS
+def test_free_id_symbols_only_with_eager_free(cls):
+    proto = SerialMemory(p=2, b=1, v=2)
+    eager = _feed(cls(proto), proto, _REUSE)
+    lazy = _feed(cls(proto, eager_free=False), proto, _REUSE)
+    assert any(isinstance(s, FreeIdSym) for s in eager)
+    assert lazy == [s for s in eager if not isinstance(s, FreeIdSym)]
+
+
+@OBSERVERS
+def test_fork_shares_no_mutable_state(cls):
+    proto = SerialMemory(p=2, b=1, v=2)
+    obs = cls(proto, self_check=True)
+    _feed(obs, proto, _TURNS[:5])
+    key = obs.state_key()
+    other = obs.fork()
+    assert other.state_key() == key
+    slots = {s for c in type(obs).__mro__ for s in getattr(c, "__slots__", ())}
+    for slot in slots - {"_canon_cache"}:  # a read-only memo, reset on mutation
+        value = getattr(obs, slot)
+        if isinstance(value, (dict, list, set)):
+            assert getattr(other, slot) is not value, slot
+    # diverge both ways: each side's key survives the other's steps
+    _feed(other, proto, _TURNS[5:])
+    assert obs.state_key() == key and obs.violation is None
+    other_key = other.state_key()
+    _feed(obs, proto, [LD(1, 1, 2)])
+    assert obs.violation is not None and other.violation is None
+    assert other.state_key() == other_key

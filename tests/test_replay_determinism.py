@@ -69,7 +69,6 @@ def test_msi_checkpoint_resume_matches_unbudgeted_run(tmp_path):
     assert resumed.counterexample is None
     assert resumed.stats.states == baseline.stats.states
     assert resumed.stats.transitions == baseline.stats.transitions
-    assert resumed.stats.interned_states == baseline.stats.interned_states
 
 
 def test_msi_multi_increment_resume_is_stable(tmp_path):
@@ -306,7 +305,6 @@ def test_mid_batch_halt_matches_per_step_admission(max_states):
     assert out.status == ("done" if max_states else "violation")
     assert {name: getattr(engine.stats, name) for name in counts} == counts
     assert [engine.store.key_of(sid) for sid in engine.violations] == violations
-    assert engine.stats.interned_states == counts["states"]
 
 
 @pytest.mark.parametrize("strict_cap", [False, True])
@@ -345,6 +343,20 @@ def test_restore_refuses_a_record_without_the_successor_map():
     fresh = ProductSearch(MSIProtocol(p=2, b=1, v=1), mode="fast")
     with pytest.raises(ValueError, match="successor map"):
         fresh.engine.restore(dict(snap, successors=None))
+
+
+def test_restore_skips_the_retired_interned_states_counter():
+    # version-4 records carry ``interned_states``, a retired duplicate
+    # of ``states``; they still resume to the same verdict and counts
+    snap = _paused().engine.snapshot()
+    old_stats = dict(snap["stats"], interned_states=snap["stats"]["states"])
+    fresh = ProductSearch(MSIProtocol(p=2, b=1, v=1), mode="fast")
+    fresh.engine.restore(dict(snap, stats=old_stats))
+    assert not hasattr(fresh.engine.stats, "interned_states")
+    resumed = fresh.run()
+    reference = ProductSearch(MSIProtocol(p=2, b=1, v=1), mode="fast").run()
+    assert resumed.verdict == reference.verdict
+    assert resumed.stats.as_dict() == reference.stats.as_dict()
 
 
 # ------------------------------------- symmetry reduction (property fuzz)
