@@ -28,13 +28,8 @@ def _measure(proto, st_order=None, runs=20, length=60, seed=0):
     for _ in range(runs):
         run = random_run(proto, length, rng)
         obs = Observer(proto, st_order.copy() if st_order is not None else None)
-        state = proto.initial_state()
-        for action in run:
-            for t in proto.transitions(state):
-                if t.action == action:
-                    break
+        for t in proto.replay(run):
             obs.on_transition(t)
-            state = t.state
         worst = max(worst, obs.max_live)
     return worst
 

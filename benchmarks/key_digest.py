@@ -6,7 +6,9 @@ bit-identical.  This script runs exhaustive
 fast-mode searches and prints, per configuration, the state and
 transition counts, the ``reduction.fallbacks`` counter (``-`` on a
 build without it) and the sha256 of the ``repr`` of every interned key
-in intern order.  Run it against two checkouts and diff the output:
+in intern order; a VIOLATION line also ends its fields with ``cx=``,
+the sha256 of ``repr((run, symbols, reason))`` of the replayed
+counterexample.  Run it against two checkouts and diff the output:
 
 .. code-block:: console
 
@@ -81,12 +83,16 @@ def digest(config: str) -> str:
         h.update(b"\n")
     red = search.system.reduction
     fallbacks = getattr(red.counters, "fallbacks", "-") if red is not None else "-"
+    cx, cx_field = result.counterexample, ""
+    if cx is not None:
+        cx_repr = repr((cx.run, cx.symbols, cx.reason)).encode("utf-8")
+        cx_field = f" cx={hashlib.sha256(cx_repr).hexdigest()}"
     return (
         f"{protocol.describe()}{'' if model == 'sc' else ' model=' + model} "
         f"reduce={reduce} por={por} "
         f"verdict={result.verdict} states={result.stats.states} "
         f"transitions={result.stats.transitions} fallbacks={fallbacks} "
-        f"sha256={h.hexdigest()} ({secs:.2f} s)"
+        f"sha256={h.hexdigest()}{cx_field} ({secs:.2f} s)"
     )
 
 

@@ -108,19 +108,17 @@ class _Node:
 class AnnotationChecker:
     """Streaming edge-annotation checks over a k-graph descriptor.
 
+    Symbols that reference unheld IDs are rejected (a well-formed
+    observer never emits them).
+
     Parameters
     ----------
-    strict:
-        Reject symbols that reference unheld IDs (a well-formed
-        observer never emits them).  With ``strict=False`` they are
-        ignored, matching the formal descriptor semantics.
     require_labels:
         Reject nodes without an operation label (constraint graphs
         label every node).
     """
 
-    def __init__(self, *, strict: bool = True, require_labels: bool = True):
-        self.strict = strict
+    def __init__(self, *, require_labels: bool = True):
         self.require_labels = require_labels
         self.rejected: Optional[str] = None
 
@@ -333,8 +331,7 @@ class AnnotationChecker:
         if sym.new_id != sym.id:
             self._take_id(sym.new_id)
         if target is None:
-            if self.strict:
-                self._reject(f"add-ID({sym.id},{sym.new_id}): ID {sym.id} unheld")
+            self._reject(f"add-ID({sym.id},{sym.new_id}): ID {sym.id} unheld")
             return
         self._owner[sym.new_id] = target
         self._nodes[target].ids.add(sym.new_id)
@@ -343,8 +340,7 @@ class AnnotationChecker:
         u_tid = self._owner.get(sym.src)
         v_tid = self._owner.get(sym.dst)
         if u_tid is None or v_tid is None:
-            if self.strict:
-                self._reject(f"edge ({sym.src},{sym.dst}) references an unheld ID")
+            self._reject(f"edge ({sym.src},{sym.dst}) references an unheld ID")
             return
         try:
             kind = parse_edge_kind(sym.label)
@@ -483,7 +479,6 @@ class AnnotationChecker:
     def fork(self) -> "AnnotationChecker":
         """Independent copy (for branching exploration)."""
         other = AnnotationChecker.__new__(AnnotationChecker)
-        other.strict = self.strict
         other.require_labels = self.require_labels
         other.rejected = self.rejected
         other._next_tid = self._next_tid

@@ -47,9 +47,9 @@ class Checker:
     checker's end-of-string conditions.
     """
 
-    def __init__(self, *, strict: bool = True, require_labels: bool = True):
+    def __init__(self):
         self.cycles = CycleChecker()
-        self.annotations = AnnotationChecker(strict=strict, require_labels=require_labels)
+        self.annotations = AnnotationChecker()
 
     def feed(self, sym: Symbol) -> bool:
         ok_c = self.cycles.feed(sym)
@@ -104,12 +104,10 @@ class Checker:
         )
 
 
-def check_descriptor(
-    symbols: Iterable[Symbol], *, strict: bool = True, require_labels: bool = True
-) -> CheckResult:
+def check_descriptor(symbols: Iterable[Symbol]) -> CheckResult:
     """One-shot: does the descriptor describe an acyclic constraint
     graph (end-of-string semantics)?"""
-    chk = Checker(strict=strict, require_labels=require_labels)
+    chk = Checker()
     chk.feed_all(symbols)
     bad = chk.violations()
     return CheckResult(not bad, bad[0] if bad else None)

@@ -120,10 +120,6 @@ class ConstraintGraph:
         except CycleError:
             return None
 
-    def serial_trace(self) -> Optional[Trace]:
-        perm = self.serial_reordering()
-        return None if perm is None else apply_reordering(self.trace, perm)
-
     # ------------------------------------------------------------------
     # Section 3.1 edge-annotation constraints
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ transitions are memoized (see
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..graphs import Digraph, would_close_cycle
 from .descriptor import AddIdSym, EdgeSym, FreeIdSym, NodeSym, Symbol
@@ -40,10 +40,9 @@ class CycleChecker:
     safety automaton — once rejected, always rejected).
     """
 
-    __slots__ = ("max_id", "rejected", "_next_token", "_graph", "_owner", "_idset")
+    __slots__ = ("rejected", "_next_token", "_graph", "_owner", "_idset")
 
-    def __init__(self, max_id: Optional[int] = None):
-        self.max_id = max_id
+    def __init__(self):
         self.rejected = False
         self._next_token = 1
         self._graph = Digraph()  # nodes are internal tokens
@@ -138,7 +137,6 @@ class CycleChecker:
     def fork(self) -> "CycleChecker":
         """Independent copy (for branching exploration)."""
         other = CycleChecker.__new__(CycleChecker)
-        other.max_id = self.max_id
         other.rejected = self.rejected
         other._next_token = self._next_token
         other._graph = self._graph.copy()
@@ -307,10 +305,8 @@ def _ranked_key(idsets, edges, get) -> Tuple:
     return (False, tuple(ids_part), edges)
 
 
-def descriptor_is_acyclic(
-    symbols: Iterable[Symbol], max_id: Optional[int] = None
-) -> bool:
+def descriptor_is_acyclic(symbols: Iterable[Symbol]) -> bool:
     """One-shot: does the descriptor describe an acyclic graph?"""
-    c = CycleChecker(max_id)
+    c = CycleChecker()
     c.feed_all(symbols)
     return c.accepts

@@ -162,23 +162,42 @@ class Protocol(abc.ABC):
         return None
 
     # ------------------------------------------------------------------
-    # run utilities (used by tests, the per-trace checker and benches)
+    # run replay (Section 2.1: a run is an action sequence of the
+    # machine) — the one place an action is turned back into a
+    # transition
     # ------------------------------------------------------------------
-    def run_states(self, run: Iterable[Action]) -> List[Hashable]:
-        """Replay ``run`` from the initial state; returns the visited
-        state sequence (length ``len(run)+1``).  Raises ``ValueError``
-        if some action is not enabled."""
+    def transition_for(self, state: Hashable, action: Action) -> Optional[Transition]:
+        """The first transition enabled in ``state`` whose action is
+        ``action``, or ``None`` if ``action`` is not enabled there.
+
+        First match is the replay rule: it picks the transition the
+        search steps first, so a counterexample's actions replay to
+        the run the search found (and a run found under a
+        transition-pruning wrapper replays verbatim on the protocol
+        it wraps)."""
+        for t in self.transitions(state):
+            if t.action == action:
+                return t
+        return None
+
+    def replay(self, run: Iterable[Action]) -> Iterator[Transition]:
+        """Yield the transitions of ``run`` from the initial state,
+        one per action, by :meth:`transition_for`.  Raises
+        ``ValueError`` naming the action's index when an action is
+        not enabled."""
         state = self.initial_state()
-        states = [state]
         for i, action in enumerate(run):
-            for t in self.transitions(state):
-                if t.action == action:
-                    state = t.state
-                    break
-            else:
-                raise ValueError(f"action #{i} ({action!r}) not enabled")
-            states.append(state)
-        return states
+            t = self.transition_for(state, action)
+            if t is None:
+                raise ValueError(f"action #{i} ({action!r}) is not enabled — not a run")
+            yield t
+            state = t.state
+
+    def run_states(self, run: Iterable[Action]) -> List[Hashable]:
+        """The state sequence :meth:`replay` visits (length
+        ``len(run)+1``).  Raises ``ValueError`` if some action is not
+        enabled."""
+        return [self.initial_state()] + [t.state for t in self.replay(run)]
 
     def is_run(self, run: Iterable[Action]) -> bool:
         try:

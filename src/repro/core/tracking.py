@@ -16,12 +16,12 @@ ID-set is precisely the set of locations holding its value, grown with
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .constraint_graph import EdgeKind
 from .descriptor import AddIdSym, EdgeSym, NodeSym, Symbol
 from .operations import Action, Load, Operation, Store
-from .protocol import FRESH, Protocol, Tracking, Transition
+from .protocol import FRESH, Protocol, Tracking
 
 __all__ = ["STIndexTracker", "st_indices_after", "InheritanceGenerator", "inheritance_edges_of_run"]
 
@@ -82,15 +82,8 @@ def st_indices_after(
     """Replay ``run`` on ``protocol`` and return the final ST-index of
     every location (the Figure 4(c) table)."""
     tracker = STIndexTracker(protocol.num_locations)
-    state = protocol.initial_state()
-    for action in run:
-        for t in protocol.transitions(state):
-            if t.action == action:
-                tracker.feed(action, t.tracking)
-                state = t.state
-                break
-        else:
-            raise ValueError(f"action {action!r} not enabled")
+    for t in protocol.replay(run):
+        tracker.feed(t.action, t.tracking)
     return tracker.all_indices()
 
 
@@ -157,9 +150,6 @@ class InheritanceGenerator:
         self._tracker.feed(action, tracking)
         return out
 
-    def feed_transition(self, t: Transition) -> List[Symbol]:
-        return self.feed(t.action, t.tracking)
-
 
 def inheritance_edges_of_run(
     protocol: Protocol, run: Iterable[Action]
@@ -169,25 +159,17 @@ def inheritance_edges_of_run(
     the oracle against which :class:`InheritanceGenerator`'s descriptor
     output is tested."""
     tracker = STIndexTracker(protocol.num_locations)
-    state = protocol.initial_state()
     edges: List[Tuple[int, int]] = []
     j = 0
-    for action in run:
-        tr: Optional[Transition] = None
-        for t in protocol.transitions(state):
-            if t.action == action:
-                tr = t
-                break
-        if tr is None:
-            raise ValueError(f"action {action!r} not enabled")
+    for t in protocol.replay(run):
+        action = t.action
         if isinstance(action, Operation):
             j += 1
             if isinstance(action, Load):
-                l = tr.tracking.location
+                l = t.tracking.location
                 assert l is not None
                 i = tracker.index_of(l)
                 if i != 0:
                     edges.append((i, j))
-        tracker.feed(action, tr.tracking)
-        state = tr.state
+        tracker.feed(action, t.tracking)
     return edges

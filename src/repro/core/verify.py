@@ -274,12 +274,7 @@ def check_run(
     checker = m.make_checker(replay_mode)
     state = protocol.initial_state()
     symbols: List[Symbol] = []
-    for i, action in enumerate(run):
-        for t in protocol.transitions(state):
-            if t.action == action:
-                break
-        else:
-            raise ValueError(f"action #{i} ({action!r}) is not enabled — not a run")
+    for t in protocol.replay(run):
         syms = observer.on_transition(t)
         symbols.extend(syms)
         if not checker.feed_all(syms) or observer.violation is not None:

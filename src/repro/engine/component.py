@@ -475,12 +475,12 @@ class ComposedSystem(System):
 
     def successor(self, state, action):
         pstate, obs, chk = state
-        for t in self.protocol_comp.enabled(pstate):
-            if t.action == action:
-                obs2, symbols = self.observer_comp.step(obs, t)
-                chk2, _ = self.checker_comp.step(chk, symbols)
-                return (t.state, obs2, chk2)
-        raise ValueError(f"{action!r} is not enabled on replay")
+        t = self.protocol.transition_for(pstate, action)
+        if t is None:
+            raise ValueError(f"{action!r} is not enabled on replay")
+        obs2, symbols = self.observer_comp.step(obs, t)
+        chk2, _ = self.checker_comp.step(chk, symbols)
+        return (t.state, obs2, chk2)
 
     def end_check(self, state) -> Optional[bool]:
         pstate, _obs, chk = state

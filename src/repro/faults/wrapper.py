@@ -147,12 +147,6 @@ class FaultyProtocol(Protocol):
         return Tracking(location=loc, copies=copies)
 
     # ------------------------------------------------------------------
-    def _find_same_action(self, bstate, action) -> Optional[Transition]:
-        for t in self.base.transitions(bstate):
-            if t.action == action:
-                return t
-        return None
-
     def transitions(self, state) -> Iterable[Transition]:
         if self._stale:
             bstate, shadow = state
@@ -172,7 +166,7 @@ class FaultyProtocol(Protocol):
                     continue
                 yield Transition(a, self._wrap(t.state, shadow), self._mutate_tracking(t))
                 if a.name in self._dup:
-                    t2 = self._find_same_action(t.state, a)
+                    t2 = self.base.transition_for(t.state, a)
                     if t2 is not None:
                         combined = compose_copies(t.tracking.copies, t2.tracking.copies)
                         if self._drop_copies:

@@ -10,7 +10,7 @@ small trace (used by the brute-force oracle in tests).
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterator, List, Optional
+from typing import Hashable, Iterator, List
 
 from .digraph import Digraph
 
@@ -21,34 +21,31 @@ class CycleError(ValueError):
     """Raised when a topological order is requested of a cyclic graph."""
 
 
-def topological_sort(g: Digraph, *, prefer_small: bool = True) -> List[Hashable]:
+def topological_sort(g: Digraph) -> List[Hashable]:
     """Kahn's algorithm.
 
-    With ``prefer_small`` (the default) ties are broken by a min-heap on
-    the node values, which makes the output deterministic and — for the
-    integer-numbered constraint graphs — biased toward the original
-    trace order, giving more readable serial witnesses.
+    Ties are broken by a min-heap on the node values, which makes the
+    output deterministic and — for the integer-numbered constraint
+    graphs — biased toward the original trace order, giving more
+    readable serial witnesses.
 
     Raises :class:`CycleError` if the graph has a cycle.
     """
     indeg = {u: g.in_degree(u) for u in g.nodes()}
     ready = [u for u, d in indeg.items() if d == 0]
-    if prefer_small:
-        try:
-            heapq.heapify(ready)
-        except TypeError:  # unsortable node mix — fall back to FIFO
-            prefer_small = False
+    pop, push = heapq.heappop, heapq.heappush
+    try:
+        heapq.heapify(ready)
+    except TypeError:  # unsortable node mix — fall back to a stack
+        pop, push = list.pop, list.append
     order: List[Hashable] = []
     while ready:
-        u = heapq.heappop(ready) if prefer_small else ready.pop()
+        u = pop(ready)
         order.append(u)
         for v in g.successors(u):
             indeg[v] -= 1
             if indeg[v] == 0:
-                if prefer_small:
-                    heapq.heappush(ready, v)
-                else:
-                    ready.append(v)
+                push(ready, v)
     if len(order) != len(g):
         raise CycleError("graph has a cycle; no topological order exists")
     return order
@@ -78,11 +75,3 @@ def all_topological_sorts(g: Digraph) -> Iterator[List[Hashable]]:
 
     taken: set = set()
     yield from rec()
-
-
-def first_topological_sort_or_none(g: Digraph) -> Optional[List[Hashable]]:
-    """Convenience wrapper returning ``None`` instead of raising."""
-    try:
-        return topological_sort(g)
-    except CycleError:
-        return None

@@ -9,7 +9,7 @@ from .bruteforce import (
     witness_constraint_graph,
 )
 from .generators import corr_chain, iriw_general, mp_chain, sb_chain
-from .gk_checker import FuzzReport, check_run_streaming, fuzz_protocol
+from .gk_checker import FuzzReport, fuzz_protocol
 from .programs import (
     CORPUS,
     CORR,
@@ -45,6 +45,6 @@ __all__ = [
     "outcomes_on_protocol", "runs_for_outcome",
     "check_trace_bruteforce", "check_trace_causal",
     "check_trace_store_orders", "witness_constraint_graph",
-    "check_run_streaming", "fuzz_protocol", "FuzzReport",
+    "fuzz_protocol", "FuzzReport",
     "sb_chain", "mp_chain", "corr_chain", "iriw_general",
 ]

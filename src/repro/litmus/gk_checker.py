@@ -3,11 +3,11 @@
 The paper notes the observer/checker pair also works as a *runtime
 checker*: simulate a protocol too large to model-check, stream each
 run through the observer and checker, and flag any run whose witness
-graph is not an acyclic constraint graph.  This module packages that
-workflow:
+graph is not an acyclic constraint graph.  The per-run check is
+:func:`~repro.core.verify.check_run` (linear in the run length; this is
+the method under benchmark); this module packages the campaign around
+it:
 
-* :func:`check_run_streaming` — observer + checker over one run
-  (linear in the run length; this is the method under benchmark);
 * :func:`fuzz_protocol` — randomised testing campaign: many random
   quiescent-ended runs, each checked streaming, with optional
   cross-checking of the trace against the exponential baselines.
@@ -22,19 +22,10 @@ from typing import List, Optional, Tuple
 from ..core.operations import Run, Trace, trace_of_run
 from ..core.protocol import Protocol, random_run
 from ..core.storder import STOrderGenerator
-from ..core.verify import RunCheck, check_run
+from ..core.verify import check_run
 from .bruteforce import check_trace_bruteforce
 
-__all__ = ["check_run_streaming", "FuzzReport", "fuzz_protocol"]
-
-
-def check_run_streaming(
-    protocol: Protocol,
-    run: Run,
-    st_order: Optional[STOrderGenerator] = None,
-) -> RunCheck:
-    """Stream one run through observer + checker (Section 5)."""
-    return check_run(protocol, run, st_order)
+__all__ = ["FuzzReport", "fuzz_protocol"]
 
 
 @dataclass

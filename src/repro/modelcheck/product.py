@@ -86,16 +86,9 @@ def _replay(
     strongest checker the model supports)."""
     observer = model.make_observer(protocol, st_order, self_check=True)
     checker = model.make_checker("full" if "full" in model.modes else "fast")
-    state = protocol.initial_state()
     symbols = []
-    for action in actions:
-        for t in protocol.transitions(state):
-            if t.action == action:
-                break
-        else:  # pragma: no cover - internal invariant
-            raise AssertionError("counterexample replay diverged")
+    for t in protocol.replay(actions):
         symbols.extend(observer.on_transition(t))
-        state = t.state
     checker.feed_all(symbols)
     violations = checker.violations()
     if observer.violation is not None:

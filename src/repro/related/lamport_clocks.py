@@ -57,12 +57,7 @@ def _witness_graph(
     observer = Observer(protocol, st_order.copy() if st_order is not None else None)
     state = protocol.initial_state()
     syms = []
-    for action in run:
-        for t in protocol.transitions(state):
-            if t.action == action:
-                break
-        else:
-            raise ValueError(f"action {action!r} not enabled")
+    for t in protocol.replay(run):
         syms.extend(observer.on_transition(t))
         state = t.state
     labelled = decode(syms, strict=True)
@@ -126,10 +121,8 @@ class ClockChecker:
     def feed_action(self, action: Action) -> bool:
         if self.rejected is not None:
             return False
-        for t in self.protocol.transitions(self._state):
-            if t.action == action:
-                break
-        else:
+        t = self.protocol.transition_for(self._state, action)
+        if t is None:
             raise ValueError(f"action {action!r} not enabled")
         self._symbols.extend(self._observer_like.on_transition(t))
         self._state = t.state

@@ -26,14 +26,9 @@ from repro.memory import MSIProtocol, SerialMemory
 
 def observer_stream(proto, run, st_order=None):
     obs = Observer(proto, st_order)
-    state = proto.initial_state()
     syms = []
-    for action in run:
-        for t in proto.transitions(state):
-            if t.action == action:
-                break
+    for t in proto.replay(run):
         syms.extend(obs.on_transition(t))
-        state = t.state
     return syms
 
 

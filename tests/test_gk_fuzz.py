@@ -3,7 +3,7 @@ randomised campaigns, cross-checked against the brute-force oracle."""
 
 from repro.core.operations import ST, LD, InternalAction
 from repro.core.verify import check_run
-from repro.litmus import check_run_streaming, fuzz_protocol
+from repro.litmus import fuzz_protocol
 from repro.memory import (
     BuggyMSIProtocol,
     LazyCachingProtocol,
@@ -23,7 +23,7 @@ def test_streaming_check_accepts_good_run():
         InternalAction("AcquireS", (2, 1)),
         LD(2, 1, 1),
     )
-    res = check_run_streaming(proto, run)
+    res = check_run(proto, run)
     assert res.ok and res.quiescent_end
     assert "consistent" in res.verdict
 
@@ -38,7 +38,7 @@ def test_streaming_check_flags_sb_violation():
         InternalAction("flush", (1,)),
         InternalAction("flush", (2,)),
     )
-    res = check_run_streaming(proto, run, store_buffer_st_order())
+    res = check_run(proto, run, store_buffer_st_order())
     assert not res.ok
     assert "cycle" in (res.reason or "")
 

@@ -3,8 +3,15 @@
 
 import pytest
 
-from repro.core.operations import LD, ST
-from repro.core.protocol import FRESH, Tracking, enumerate_runs, random_run
+from repro.core.operations import LD, ST, InternalAction
+from repro.core.protocol import (
+    FRESH,
+    Protocol,
+    Tracking,
+    Transition,
+    enumerate_runs,
+    random_run,
+)
 from repro.memory import LazyCachingProtocol, SerialMemory, StoreBufferProtocol
 
 
@@ -14,6 +21,46 @@ def test_run_states_replays():
     assert len(states) == 4
     assert states[0] == (0,)
     assert states[-1] == (2,)
+
+
+class TwoTicks(Protocol):
+    """A toy protocol whose ``tick`` is enabled twice in state 0: first
+    into state 1, then into state 2.  Only state 1 enables ``tock``."""
+
+    p = b = v = 1
+    num_locations = 1
+    TICK = InternalAction("tick")
+    TOCK = InternalAction("tock")
+
+    def initial_state(self):
+        return 0
+
+    def transitions(self, state):
+        if state == 0:
+            yield Transition(self.TICK, 1, Tracking())
+            yield Transition(self.TICK, 2, Tracking())
+        elif state == 1:
+            yield Transition(self.TOCK, 3, Tracking())
+
+
+def test_transition_for_takes_the_first_match():
+    proto = TwoTicks()
+    assert proto.transition_for(0, TwoTicks.TICK).state == 1
+    assert [t.state for t in proto.replay((TwoTicks.TICK, TwoTicks.TOCK))] == [1, 3]
+    assert proto.run_states((TwoTicks.TICK, TwoTicks.TOCK)) == [0, 1, 3]
+
+
+def test_transition_for_is_none_for_a_disabled_action():
+    proto = TwoTicks()
+    assert proto.transition_for(0, TwoTicks.TOCK) is None
+    assert proto.transition_for(3, TwoTicks.TICK) is None
+
+
+def test_replay_of_a_non_run_names_the_index():
+    proto = TwoTicks()
+    with pytest.raises(ValueError, match=r"action #2 .*not enabled"):
+        list(proto.replay((TwoTicks.TICK, TwoTicks.TOCK, TwoTicks.TOCK)))
+    assert not proto.is_run((TwoTicks.TICK, TwoTicks.TOCK, TwoTicks.TOCK))
 
 
 def test_run_states_rejects_disabled_action():

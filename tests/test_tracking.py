@@ -145,14 +145,7 @@ def test_oracle_by_action_replay_on_unambiguous_protocol(rng):
     proto = SerialMemory(p=2, b=2, v=2)
     for _ in range(10):
         run = random_run(proto, rng.randint(1, 12), rng)
-        walk = []
-        state = proto.initial_state()
-        for action in run:
-            for t in proto.transitions(state):
-                if t.action == action:
-                    walk.append(t)
-                    state = t.state
-                    break
+        walk = list(proto.replay(run))
         assert sorted(inheritance_edges_of_run(proto, run)) == _oracle_edges(proto, walk)
 
 
@@ -160,14 +153,9 @@ def test_generator_emits_add_id_on_copies():
     proto = Figure4Protocol()
     run = figure4_run()
     gen = InheritanceGenerator(proto.num_locations)
-    state = proto.initial_state()
     syms = []
-    for action in run:
-        for t in proto.transitions(state):
-            if t.action == action:
-                break
+    for t in proto.replay(run):
         syms.extend(gen.feed(t.action, t.tracking))
-        state = t.state
     assert any(isinstance(s, AddIdSym) for s in syms), "Get-Shared must add-ID"
 
 
@@ -175,14 +163,9 @@ def test_generator_edge_labels_are_inheritance():
     proto = SerialMemory(p=2, b=1, v=1)
     run = (ST(1, 1, 1), LD(2, 1, 1))
     gen = InheritanceGenerator(proto.num_locations)
-    state = proto.initial_state()
     syms = []
-    for action in run:
-        for t in proto.transitions(state):
-            if t.action == action:
-                break
+    for t in proto.replay(run):
         syms.extend(gen.feed(t.action, t.tracking))
-        state = t.state
     g = decode(syms)
     assert g.graph.label(1, 2) == EdgeKind.INH
     assert g.node_labels == [ST(1, 1, 1), LD(2, 1, 1)]
@@ -192,6 +175,6 @@ def test_bottom_loads_get_no_inheritance_edge():
     proto = SerialMemory(p=1, b=1, v=1)
     run = (LD(1, 1, 0),)
     assert inheritance_edges_of_run(proto, run) == []
-    walk = [next(t for t in proto.transitions(proto.initial_state()) if t.action == run[0])]
+    walk = list(proto.replay(run))
     got, labelled = _generator_edges(proto, walk)
     assert got == [] and labelled.n == 1

@@ -44,14 +44,9 @@ def test_descriptor_dot_from_observer_stream():
 
     proto = SerialMemory(p=2, b=1, v=1)
     obs = Observer(proto)
-    state = proto.initial_state()
     syms = []
-    for action in (ST(1, 1, 1), LD(2, 1, 1)):
-        for t in proto.transitions(state):
-            if t.action == action:
-                break
+    for t in proto.replay((ST(1, 1, 1), LD(2, 1, 1))):
         syms.extend(obs.on_transition(t))
-        state = t.state
     dot = descriptor_dot(syms)
     assert "ST(P1,B1,1)" in dot and "LD(P2,B1,1)" in dot
     assert 'label="inh"' in dot
